@@ -8,9 +8,9 @@
 // experiment EvalState builds generate. The same workload runs twice
 // on fresh sessions:
 //
-//   serialized -- CrimsonOptions::serialize_storage_reads routes every
-//                 storage read through the exclusive writer lock, the
-//                 engine's pre-concurrency behavior;
+//   serialized -- a bench-owned mutex is held around each cold-read
+//                 task (OpenTree + ExportNexus), so the tasks run one
+//                 at a time as under a single-lock engine;
 //   shared     -- the default path: shared storage lock + Database
 //                 read epochs + latched buffer pool, so cold misses
 //                 from different threads overlap in the pager.
@@ -43,6 +43,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -161,7 +162,6 @@ PhaseResult RunPhase(const std::string& path, bool serialize, int n_trees,
   opts.db_path = path;
   opts.buffer_pool_pages = pool_pages;
   opts.batch_workers = static_cast<size_t>(threads);
-  opts.serialize_storage_reads = serialize;
   opts.storage_env = DelayedReadEnv(delay_us);
   opts.seed = 42;
   auto session_or = Crimson::Open(opts);
@@ -175,12 +175,15 @@ PhaseResult RunPhase(const std::string& path, bool serialize, int n_trees,
   out.nexus.resize(n_trees);
   std::vector<TreeRef> refs(n_trees);
   std::atomic<int> failures{0};
+  std::mutex serial_mu;  // the serialized baseline's one lock
   std::vector<std::thread> workers;
   workers.reserve(threads);
   auto start = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = t; i < n_trees; i += threads) {
+        std::unique_lock<std::mutex> serial(serial_mu, std::defer_lock);
+        if (serialize) serial.lock();
         auto ref = session->OpenTree(TreeName(i));
         if (!ref.ok()) {
           ++failures;

@@ -68,14 +68,6 @@ bool QueryCache::IsCacheable(const QueryRequest& request) {
          !std::holds_alternative<SampleTimeQuery>(request);
 }
 
-std::string QueryCache::KeyFor(const std::string& tree_name,
-                               const QueryRequest& request) {
-  std::string key(QueryKindName(request));
-  key.push_back('?');
-  key += EncodeQueryParams(tree_name, request);
-  return key;
-}
-
 QueryCache::TreeState& QueryCache::StateLocked(const std::string& tree) {
   return trees_[tree];
 }

@@ -115,11 +115,6 @@ class QueryCache {
   /// must always execute.
   static bool IsCacheable(const QueryRequest& request);
 
-  /// Canonical cache key: kind tag + the history-stable parameter
-  /// encoding (which embeds the tree name).
-  static std::string KeyFor(const std::string& tree_name,
-                            const QueryRequest& request);
-
   /// The current validity stamp for a tree; callers pass the storage
   /// engine's committed epoch. Must be captured BEFORE executing the
   /// query whose result will be inserted.

@@ -168,11 +168,6 @@ Status Crimson::ReopenRepositoriesLocked() {
 
 Crimson::StorageReadGuard Crimson::AcquireStorageRead() const {
   StorageReadGuard guard;
-  if (options_.serialize_storage_reads) {
-    // Bench baseline: pre-MVCC behavior, reads queue behind the writer
-    // (and each other) on the exclusive lock.
-    guard.exclusive = std::unique_lock<std::shared_mutex>(db_mu_);
-  }
   guard.repos = Repos();
   guard.epoch = db_->BeginRead();
   return guard;
@@ -458,11 +453,6 @@ Result<const PhyloTree*> Crimson::GetTree(TreeRef tree) const {
   return &handle->tree;
 }
 
-Result<const PhyloTree*> Crimson::GetTree(const std::string& name) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(name));
-  return GetTree(ref);
-}
-
 // -- query execution --------------------------------------------------------
 
 Result<std::vector<NodeId>> Crimson::ResolveSpecies(
@@ -560,23 +550,21 @@ Result<QueryResult> Crimson::ExecuteOnHandle(const TreeHandle& handle,
       request);
 }
 
-void Crimson::RecordQuery(std::string_view kind, const std::string& params,
-                          const std::string& summary) {
-  obs::SpanTimer span(obs::Stage::kHistoryEnqueue);
-  // The headline concurrency fix: history appends no longer enter the
-  // writer epoch on the query path. The entry gets its final id and
-  // timestamp now and sits in the in-memory buffer until the next
-  // write transaction (or Flush/Checkpoint) drains it.
-  QueryRepository::Entry entry;
-  entry.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  entry.timestamp_micros = NowMicros();
-  entry.kind = std::string(kind);
-  entry.params = params;
-  entry.summary = summary;
+void Crimson::RecordHistory(std::vector<QueryRepository::Entry> entries) {
+  // History appends never enter the writer epoch on the query path:
+  // entries get their final ids and timestamp here and sit in the
+  // in-memory buffer until the next write transaction (or
+  // Flush/Checkpoint) drains them.
+  const int64_t now = NowMicros();
   size_t buffered;
   {
     std::lock_guard<std::mutex> lock(history_mu_);
-    history_buffer_.push_back(std::move(entry));
+    for (QueryRepository::Entry& entry : entries) {
+      if (entry.kind.empty()) continue;  // a failed query records nothing
+      entry.query_id = next_query_id_.fetch_add(1, std::memory_order_relaxed);
+      entry.timestamp_micros = now;
+      history_buffer_.push_back(std::move(entry));
+    }
     buffered = history_buffer_.size();
   }
   if (buffered >= options_.history_buffer_cap) {
@@ -594,8 +582,8 @@ void Crimson::RecordQuery(std::string_view kind, const std::string& params,
 }
 
 void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
-                               const std::string& tree_name,
                                const QueryRequest& request,
+                               std::string_view params,
                                const Result<QueryResult>& result) const {
   const int64_t total = ctx->total_us();
   const KindCells& cells = kind_cells_[request.index()];
@@ -612,10 +600,10 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
       total >= static_cast<int64_t>(options_.slow_query_micros)) {
     slow_queries_->Increment();
     std::string line = StrFormat(
-        "slow_query total_us=%lld kind=%s params=%s status=%s spans=%s",
+        "slow_query total_us=%lld kind=%s params=%.*s status=%s spans=%s",
         static_cast<long long>(total),
         std::string(QueryKindName(request)).c_str(),
-        EncodeQueryParams(tree_name, request).c_str(),
+        static_cast<int>(params.size()), params.data(),
         result.ok() ? "ok" : result.status().ToString().c_str(),
         ctx->Breakdown().c_str());
     if (options_.slow_query_sink) {
@@ -629,177 +617,91 @@ void Crimson::FinishQueryTrace(obs::TraceContext* ctx,
   ctx->Reset();
 }
 
-Result<QueryResult> Crimson::Execute(TreeRef tree,
-                                     const QueryRequest& request) {
-  // Installs a fresh trace context, or adopts the connection thread's
-  // (which already carries the admission wait). FinishQueryTrace
-  // publishes and resets it on every result path below.
+Result<QueryResult> Crimson::RunQuery(const TreeHandle& handle,
+                                      const QueryRequest& request,
+                                      uint64_t ticket,
+                                      QueryRepository::Entry* history) {
+  // Workers install their own context; the calling thread (which
+  // ParallelFor includes) keeps its pre-installed one, so a server's
+  // admission wait lands on the query that thread runs first.
   obs::ScopedTrace trace;
-  CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const TreeHandle> handle,
-                           HandleFor(tree));
-  // The ticket is consumed unconditionally -- even on a cache hit --
-  // so a session with the cache on draws the same sampling streams as
-  // one with it off (cache-on/off byte identity).
-  const uint64_t ticket = ticket_.fetch_add(1, std::memory_order_relaxed);
+  const std::string& tree = handle.info.name;
+  // The request's one encoding: "<kind>?<params>" is the cache key
+  // (the kind tag keeps project and clade over the same species
+  // apart), and the params suffix is the history row and the slow-log
+  // field.
+  const std::string_view kind = QueryKindName(request);
+  std::string key = std::string(kind) + '?' + EncodeQueryParams(tree, request);
+  const size_t params_at = kind.size() + 1;
   const bool cacheable =
       query_cache_->enabled() && cache::QueryCache::IsCacheable(request);
-  std::string key;
+  std::optional<QueryResult> hit;
+  cache::ReadStamp stamp;
   if (cacheable) {
-    key = cache::QueryCache::KeyFor(handle->info.name, request);
-    std::optional<QueryResult> hit;
     {
       obs::SpanTimer span(obs::Stage::kCacheLookup);
-      hit = query_cache_->Lookup(handle->info.name, key);
+      hit = query_cache_->Lookup(tree, key);
     }
-    if (hit) {
-      RecordQuery(QueryKindName(request),
-                  EncodeQueryParams(handle->info.name, request),
-                  SummarizeResult(*hit));
-      Result<QueryResult> result(std::move(*hit));
-      FinishQueryTrace(trace.context(), handle->info.name, request, result);
-      return result;
-    }
+    // Stamp strictly before execution: if a mutation overlaps the run,
+    // the stamp ages out and Insert drops the result.
+    if (!hit) stamp = query_cache_->Stamp(tree, db_->committed_epoch());
   } else if (query_cache_->enabled()) {
     query_cache_->NoteBypass();
   }
-  // Stamp strictly before execution: if a mutation overlaps the run,
-  // the stamp ages out and Insert drops the result.
-  cache::ReadStamp stamp;
-  if (cacheable) {
-    stamp = query_cache_->Stamp(handle->info.name, db_->committed_epoch());
-  }
-  Result<QueryResult> result = [&] {
+  // A hit skips execution but its ticket was still consumed by the
+  // caller, so the cache never shifts sampling streams.
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    if (hit) return std::move(*hit);
     obs::SpanTimer span(obs::Stage::kExecute);
-    return ExecuteOnHandle(*handle, request, ticket);
+    return ExecuteOnHandle(handle, request, ticket);
   }();
-  if (result.ok()) {
-    if (cacheable) {
-      query_cache_->Insert(handle->info.name, key, stamp, *result);
-    }
-    RecordQuery(QueryKindName(request),
-                EncodeQueryParams(handle->info.name, request),
-                SummarizeResult(*result));
+  if (cacheable && !hit && result.ok()) {
+    query_cache_->Insert(tree, key, stamp, *result);
   }
-  FinishQueryTrace(trace.context(), handle->info.name, request, result);
+  FinishQueryTrace(trace.context(), request,
+                   std::string_view(key).substr(params_at), result);
+  if (result.ok()) {
+    history->kind = std::string(kind);
+    history->params = std::move(key.erase(0, params_at));
+    history->summary = SummarizeResult(*result);
+  }
   return result;
+}
+
+Result<QueryResult> Crimson::Execute(TreeRef tree,
+                                     const QueryRequest& request) {
+  return std::move(ExecuteBatch(tree, {&request, 1})[0]);
 }
 
 std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
     TreeRef tree, Span<const QueryRequest> requests) {
   const size_t n = requests.size();
-  std::vector<Result<QueryResult>> results(
-      n, Result<QueryResult>(Status::Internal("query not executed")));
-  if (n == 0) return results;
+  if (n == 0) return {};
   Result<std::shared_ptr<const TreeHandle>> handle_or = HandleFor(tree);
   if (!handle_or.ok()) {
-    for (auto& r : results) r = handle_or.status();
-    return results;
+    return std::vector<Result<QueryResult>>(n, handle_or.status());
   }
   const TreeHandle& handle = **handle_or;
+  std::vector<Result<QueryResult>> results(
+      n, Result<QueryResult>(Status::Internal("query not executed")));
   // Tickets are assigned in request order *before* dispatch, so the
   // i-th request draws exactly what it would draw under sequential
-  // Execute calls -- batched results are byte-identical.
+  // Execute calls -- batched results are byte-identical. A cache hit
+  // consumes its ticket too (cache-on/off parity).
   const uint64_t base = ticket_.fetch_add(n, std::memory_order_relaxed);
-  const bool cache_on = query_cache_->enabled();
+  std::vector<QueryRepository::Entry> history(n);
   pool_->ParallelFor(n, [&](size_t i) {
-    const QueryRequest& request = requests[i];
-    // Workers install their own context; the calling thread (which
-    // ParallelFor includes) keeps its pre-installed one, so a server's
-    // admission wait lands on the query that thread runs first.
-    obs::ScopedTrace trace;
-    auto finish = [&] {
-      FinishQueryTrace(trace.context(), handle.info.name, request, results[i]);
-    };
-    if (cache_on && cache::QueryCache::IsCacheable(request)) {
-      const std::string key =
-          cache::QueryCache::KeyFor(handle.info.name, request);
-      std::optional<QueryResult> hit;
-      {
-        obs::SpanTimer span(obs::Stage::kCacheLookup);
-        hit = query_cache_->Lookup(handle.info.name, key);
-      }
-      if (hit) {
-        results[i] = QueryResult(std::move(*hit));
-        finish();
-        return;
-      }
-      cache::ReadStamp stamp =
-          query_cache_->Stamp(handle.info.name, db_->committed_epoch());
-      {
-        obs::SpanTimer span(obs::Stage::kExecute);
-        results[i] = ExecuteOnHandle(handle, request, base + i);
-      }
-      if (results[i].ok()) {
-        query_cache_->Insert(handle.info.name, key, stamp, *results[i]);
-      }
-      finish();
-      return;
-    }
-    if (cache_on) query_cache_->NoteBypass();
-    {
-      obs::SpanTimer span(obs::Stage::kExecute);
-      results[i] = ExecuteOnHandle(handle, request, base + i);
-    }
-    finish();
+    results[i] = RunQuery(handle, requests[i], base + i, &history[i]);
   });
-  // History is written after the barrier, in request order, keeping the
-  // Query Repository deterministic under concurrency.
-  for (size_t i = 0; i < n; ++i) {
-    if (!results[i].ok()) continue;
-    RecordQuery(QueryKindName(requests[i]),
-                EncodeQueryParams(handle.info.name, requests[i]),
-                SummarizeResult(*results[i]));
-  }
+  // One history step per call, after the barrier: the successes in
+  // request order, so the Query Repository is deterministic under
+  // concurrency. Every query's trace is already published, so the
+  // step is timed once per call into the history_enqueue histogram.
+  WallTimer timer;
+  RecordHistory(std::move(history));
+  stage_hists_[static_cast<size_t>(obs::Stage::kHistoryEnqueue)]->Observe(
+      static_cast<uint64_t>(timer.ElapsedMicros()));
   return results;
-}
-
-// -- legacy named wrappers --------------------------------------------------
-
-Result<Crimson::LcaAnswer> Crimson::Lca(const std::string& tree_name,
-                                        const std::string& a,
-                                        const std::string& b) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, LcaQuery{a, b}));
-  return std::get<LcaAnswer>(std::move(r));
-}
-
-Result<PhyloTree> Crimson::Project(const std::string& tree_name,
-                                   const std::vector<std::string>& species) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, ProjectQuery{species}));
-  return std::get<ProjectAnswer>(std::move(r)).projection;
-}
-
-Result<std::vector<std::string>> Crimson::SampleUniform(
-    const std::string& tree_name, size_t k) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r,
-                           Execute(ref, SampleUniformQuery{k}));
-  return std::get<SampleAnswer>(std::move(r)).species;
-}
-
-Result<std::vector<std::string>> Crimson::SampleWithRespectToTime(
-    const std::string& tree_name, size_t k, double time) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r,
-                           Execute(ref, SampleTimeQuery{k, time}));
-  return std::get<SampleAnswer>(std::move(r)).species;
-}
-
-Result<Crimson::CladeAnswer> Crimson::MinimalClade(
-    const std::string& tree_name, const std::vector<std::string>& species) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, Execute(ref, CladeQuery{species}));
-  return std::get<CladeAnswer>(std::move(r));
-}
-
-Result<Crimson::PatternAnswer> Crimson::MatchPattern(
-    const std::string& tree_name, const std::string& pattern_newick,
-    bool match_weights) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  CRIMSON_ASSIGN_OR_RETURN(
-      QueryResult r, Execute(ref, PatternQuery{pattern_newick, match_weights}));
-  return std::get<PatternAnswer>(std::move(r));
 }
 
 // -- the Experiment API -----------------------------------------------------
@@ -1056,12 +958,12 @@ Result<ExperimentReport> Crimson::RunExperiment(TreeRef tree,
   if (!ran.ok()) return ran.status();
   ExperimentReport report = std::move(*ran);
   CRIMSON_RETURN_IF_ERROR(PersistExperiment(&report));
-  RecordQuery("experiment",
-              StrFormat("tree=%s&id=%lld&spec=%s",
-                        report.tree_name.c_str(),
-                        static_cast<long long>(report.experiment_id),
-                        EncodeExperimentSpec(spec).c_str()),
-              SummarizeExperiment(report));
+  RecordHistory({{0, 0, "experiment",
+                  StrFormat("tree=%s&id=%lld&spec=%s",
+                            report.tree_name.c_str(),
+                            static_cast<long long>(report.experiment_id),
+                            EncodeExperimentSpec(spec).c_str()),
+                  SummarizeExperiment(report)}});
   return report;
 }
 
@@ -1135,10 +1037,10 @@ Result<BenchmarkRun> Crimson::Benchmark(
   if (ValidateExperimentSpec(spec).ok()) {
     params += "&spec=" + EncodeExperimentSpec(spec);
   }
-  RecordQuery(
-      "benchmark", params,
-      StrFormat("rf=%zu/%zu normalized=%.4f", run.rf.distance,
-                run.rf.splits_a + run.rf.splits_b, run.rf.normalized));
+  RecordHistory({{0, 0, "benchmark", std::move(params),
+                  StrFormat("rf=%zu/%zu normalized=%.4f", run.rf.distance,
+                            run.rf.splits_a + run.rf.splits_b,
+                            run.rf.normalized)}});
   return run;
 }
 
@@ -1262,17 +1164,6 @@ Result<std::string> Crimson::RenderTree(TreeRef tree, size_t max_nodes) {
   AsciiRenderOptions options;
   options.max_nodes = max_nodes;
   return RenderAscii(handle->tree, options);
-}
-
-Result<std::string> Crimson::ExportNexus(const std::string& tree_name) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  return ExportNexus(ref);
-}
-
-Result<std::string> Crimson::RenderTree(const std::string& tree_name,
-                                        size_t max_nodes) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  return RenderTree(ref, max_nodes);
 }
 
 Status Crimson::Flush() {

@@ -7,10 +7,11 @@
 //
 // Session model: trees are bound once to an opaque TreeRef handle
 // (LoadNewick/LoadNexus/LoadTree/OpenTree); every structure query is a
-// typed QueryRequest executed through the single Execute dispatch,
-// which also records the query history. ExecuteBatch runs independent
-// read queries concurrently on a worker pool. Evaluation follows the
-// same shape: RunExperiment executes a serializable ExperimentSpec
+// typed QueryRequest run by one per-request routine behind
+// ExecuteBatch (Execute is a batch of one), which also records the
+// query history; ExecuteBatch runs independent read queries
+// concurrently on a worker pool. Evaluation follows the same shape:
+// RunExperiment executes a serializable ExperimentSpec
 // (algorithm registry names x selection grid x replicates) on the
 // worker pool against per-tree cached evaluation state, persists the
 // spec and scores, and RerunExperiment replays stored workloads
@@ -81,12 +82,6 @@ struct CrimsonOptions {
   uint64_t seed = 42;
   /// Worker threads backing ExecuteBatch (>= 1).
   size_t batch_workers = 4;
-  /// Benchmark baseline knob: route storage *reads* through the
-  /// exclusive writer lock instead of the snapshot read path,
-  /// restoring the pre-concurrency single-lock engine.
-  /// bench_concurrent_reads measures the snapshot path's speedup
-  /// against this.
-  bool serialize_storage_reads = false;
   /// Query-history entries buffered in memory before an opportunistic
   /// synchronous flush is attempted. History appends go to this buffer
   /// (read-only queries never enter the writer path for them); the
@@ -185,47 +180,23 @@ class Crimson {
   /// or the tree is dropped (DropTree frees the handle's state once
   /// the last in-flight query over it finishes).
   [[nodiscard]] Result<const PhyloTree*> GetTree(TreeRef tree) const;
-  [[nodiscard]] Result<const PhyloTree*> GetTree(const std::string& name);
 
   // -- the typed query layer (paper §2 queries, one dispatch path) ---------
 
-  /// Executes one typed query against a bound tree. This is the single
-  /// code path for all six query kinds: history recording and
-  /// RerunQuery replay both hang off it.
+  /// Executes one typed query against a bound tree: a batch of one
+  /// through ExecuteBatch, so both share every cache, ticket, trace and
+  /// history rule. RerunQuery replays through it.
   [[nodiscard]] Result<QueryResult> Execute(TreeRef tree,
                                             const QueryRequest& request);
 
   /// Executes a list of independent read queries on the worker pool.
-  /// Results (including sampling draws) are byte-identical to running
-  /// the same list sequentially through Execute: each request is
-  /// assigned its query ticket in list order before dispatch.
+  /// Results (including sampling draws), cache counters and history
+  /// rows are byte-identical to running the same list sequentially
+  /// through Execute: each request is assigned its query ticket in
+  /// list order before dispatch, and the call's history entries are
+  /// appended in list order once every query has finished.
   std::vector<Result<QueryResult>> ExecuteBatch(
       TreeRef tree, Span<const QueryRequest> requests);
-
-  // -- legacy named wrappers over Execute ----------------------------------
-  //
-  // Back-compat shims for the string-keyed facade; each resolves the
-  // name to a TreeRef and forwards one typed request. New code should
-  // bind a TreeRef once and call Execute directly.
-
-  using LcaAnswer = ::crimson::LcaAnswer;
-  using CladeAnswer = ::crimson::CladeAnswer;
-  using PatternAnswer = ::crimson::PatternAnswer;
-
-  [[nodiscard]] Result<LcaAnswer> Lca(const std::string& tree_name,
-                                      const std::string& a,
-                                      const std::string& b);
-  [[nodiscard]] Result<PhyloTree> Project(
-      const std::string& tree_name, const std::vector<std::string>& species);
-  [[nodiscard]] Result<std::vector<std::string>> SampleUniform(
-      const std::string& tree_name, size_t k);
-  [[nodiscard]] Result<std::vector<std::string>> SampleWithRespectToTime(
-      const std::string& tree_name, size_t k, double time);
-  [[nodiscard]] Result<CladeAnswer> MinimalClade(
-      const std::string& tree_name, const std::vector<std::string>& species);
-  [[nodiscard]] Result<PatternAnswer> MatchPattern(
-      const std::string& tree_name, const std::string& pattern_newick,
-      bool match_weights = false);
 
   // -- the Experiment API (paper §2.2 Benchmark Manager) -------------------
 
@@ -290,12 +261,6 @@ class Crimson {
   /// Renders a bound tree as an ASCII dendrogram -- the library
   /// stand-in for the demo's Walrus viewer.
   [[nodiscard]] Result<std::string> RenderTree(TreeRef tree,
-                                               size_t max_nodes = 512);
-
-  // Name-keyed shims over the TreeRef overloads above.
-  [[nodiscard]] Result<std::string> ExportNexus(
-      const std::string& tree_name);
-  [[nodiscard]] Result<std::string> RenderTree(const std::string& tree_name,
                                                size_t max_nodes = 512);
 
   /// Persists all state to disk (no-op for in-memory databases). With
@@ -384,14 +349,27 @@ class Crimson {
   Status PersistExperiment(ExperimentReport* report);
   static Result<std::vector<NodeId>> ResolveSpecies(
       const TreeHandle& handle, const std::vector<std::string>& species);
-  void RecordQuery(std::string_view kind, const std::string& params,
-                   const std::string& summary);
+  /// The one per-request query routine (ExecuteBatch's worker body):
+  /// encodes the request once, resolves the result cache (lookup,
+  /// stamp, insert or bypass), runs ExecuteOnHandle at `ticket`, and
+  /// publishes the trace. On success fills `history` (kind, params,
+  /// summary) for the caller's single history step; on failure leaves
+  /// it empty.
+  Result<QueryResult> RunQuery(const TreeHandle& handle,
+                               const QueryRequest& request, uint64_t ticket,
+                               QueryRepository::Entry* history);
+  /// Appends the entries with a kind (failed queries leave it empty)
+  /// to the history buffer in order, under one history_mu_ acquisition
+  /// (ids and timestamp are assigned there), then attempts at most one
+  /// opportunistic flush if the buffer reached history_buffer_cap.
+  void RecordHistory(std::vector<QueryRepository::Entry> entries);
   /// Publishes one finished query's trace: per-kind latency/count/
   /// result-bytes, per-stage histograms, and -- past the slow-query
-  /// threshold -- the structured slow line. Resets `ctx` afterwards so
-  /// a reused (connection-thread) context starts the next query clean.
-  void FinishQueryTrace(obs::TraceContext* ctx, const std::string& tree_name,
-                        const QueryRequest& request,
+  /// threshold -- the structured slow line carrying `params` (the
+  /// request's canonical encoding). Resets `ctx` afterwards so a reused
+  /// (connection-thread) context starts the next query clean.
+  void FinishQueryTrace(obs::TraceContext* ctx, const QueryRequest& request,
+                        std::string_view params,
                         const Result<QueryResult>& result) const;
   Result<SessionLoadReport> FinishLoad(Result<LoadReport> report);
   /// One generation of repository handles over the database. Swapped
@@ -412,12 +390,9 @@ class Crimson {
   /// Storage-read section: the current repositories plus a Database
   /// read snapshot. Lock-free against the writer -- a reader neither
   /// waits for nor stalls a concurrent StoreTree; its repository reads
-  /// resolve against the snapshot's committed page images. With
-  /// serialize_storage_reads the section instead takes db_mu_
-  /// exclusive (bench baseline, pre-MVCC behavior).
+  /// resolve against the snapshot's committed page images.
   struct StorageReadGuard {
     std::shared_ptr<const RepoSet> repos;
-    std::unique_lock<std::shared_mutex> exclusive;
     Database::ReadTxn epoch;
     /// Attributes the section's lifetime to the active query trace
     /// (no-op off the query path).
@@ -479,14 +454,13 @@ class Crimson {
   /// The storage *write* lock. Writers (loads, experiment persistence,
   /// history flushes -- everything around TransactLocked) hold it
   /// exclusive. Snapshot reads do not take it at all (see
-  /// AcquireStorageRead); with serialize_storage_reads they take it
-  /// exclusive as the bench baseline. Never held while executing query
-  /// compute.
+  /// AcquireStorageRead). Never held while executing query compute.
   mutable std::shared_mutex db_mu_;
 
   /// In-memory query-history buffer (see history_buffer_cap). Entries
-  /// carry their final ids (next_query_id_) and timestamps at enqueue
-  /// time; TransactLocked drains the buffer into the queries table,
+  /// carry their final ids (next_query_id_, assigned under history_mu_
+  /// so the buffer stays in id order) and timestamps at enqueue time;
+  /// TransactLocked drains the buffer into the queries table,
   /// erasing entries only after their transaction committed (so an
   /// entry is always findable in the buffer or in committed storage,
   /// and QueryHistory/RerunQuery take no lock against the drain).

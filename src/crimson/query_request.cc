@@ -19,10 +19,52 @@ std::string JoinSpecies(const std::vector<std::string>& species) {
   return out;
 }
 
+/// Appends one parameter value with the encoding's separators escaped:
+/// '%' (the escape itself) and '&' (the field separator) everywhere,
+/// and ',' too inside species-list elements (the list separator).
+/// A value free of these characters appends unchanged, so history
+/// rows written before escaping existed still decode as written.
+void AppendEscaped(std::string_view value, bool list_element,
+                   std::string* out) {
+  const std::string_view reserved = list_element ? "%&," : "%&";
+  size_t done = 0;
+  for (size_t at = value.find_first_of(reserved); at != value.npos;
+       at = value.find_first_of(reserved, done)) {
+    out->append(value.substr(done, at - done));
+    out->append(value[at] == '%' ? "%25" : value[at] == '&' ? "%26" : "%2C");
+    done = at + 1;
+  }
+  out->append(value.substr(done));
+}
+
+void AppendSpeciesList(const std::vector<std::string>& species,
+                       std::string* out) {
+  for (size_t i = 0; i < species.size(); ++i) {
+    if (i) out->push_back(',');
+    AppendEscaped(species[i], /*list_element=*/true, out);
+  }
+}
+
+/// Inverse of AppendEscaped. Only its three escapes decode; any other
+/// '%' is literal, as in rows written before escaping existed.
+std::string Unescape(std::string_view value) {
+  std::string out;
+  for (size_t i = 0; i < value.size(); ++i) {
+    const std::string_view esc = value.substr(i, 3);
+    if (esc == "%25" || esc == "%26" || esc == "%2C") {
+      out.push_back(esc == "%25" ? '%' : esc == "%26" ? '&' : ',');
+      i += 2;
+    } else {
+      out.push_back(value[i]);
+    }
+  }
+  return out;
+}
+
 std::vector<std::string> SplitSpecies(std::string_view joined) {
   std::vector<std::string> out;
   for (std::string_view s : StrSplit(joined, ',')) {
-    if (!s.empty()) out.emplace_back(s);
+    if (!s.empty()) out.push_back(Unescape(s));
   }
   return out;
 }
@@ -93,34 +135,38 @@ std::string RenderResult(const QueryResult& result) {
 
 std::string EncodeQueryParams(const std::string& tree_name,
                               const QueryRequest& request) {
-  return std::visit(
+  std::string out = "tree=";
+  AppendEscaped(tree_name, /*list_element=*/false, &out);
+  std::visit(
       Overloaded{
           [&](const LcaQuery& q) {
-            return StrFormat("tree=%s&a=%s&b=%s", tree_name.c_str(),
-                             q.a.c_str(), q.b.c_str());
+            out += "&a=";
+            AppendEscaped(q.a, /*list_element=*/false, &out);
+            out += "&b=";
+            AppendEscaped(q.b, /*list_element=*/false, &out);
           },
           [&](const ProjectQuery& q) {
-            return StrFormat("tree=%s&species=%s", tree_name.c_str(),
-                             JoinSpecies(q.species).c_str());
+            out += "&species=";
+            AppendSpeciesList(q.species, &out);
           },
           [&](const SampleUniformQuery& q) {
-            return StrFormat("tree=%s&k=%zu", tree_name.c_str(), q.k);
+            out += StrFormat("&k=%zu", q.k);
           },
           [&](const SampleTimeQuery& q) {
-            return StrFormat("tree=%s&k=%zu&time=%.17g", tree_name.c_str(),
-                             q.k, q.time);
+            out += StrFormat("&k=%zu&time=%.17g", q.k, q.time);
           },
           [&](const CladeQuery& q) {
-            return StrFormat("tree=%s&species=%s", tree_name.c_str(),
-                             JoinSpecies(q.species).c_str());
+            out += "&species=";
+            AppendSpeciesList(q.species, &out);
           },
           [&](const PatternQuery& q) {
-            return StrFormat("tree=%s&pattern=%s&weights=%d",
-                             tree_name.c_str(), q.pattern_newick.c_str(),
-                             q.match_weights ? 1 : 0);
+            out += "&pattern=";
+            AppendEscaped(q.pattern_newick, /*list_element=*/false, &out);
+            out += q.match_weights ? "&weights=1" : "&weights=0";
           },
       },
       request);
+  return out;
 }
 
 Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
@@ -131,14 +177,15 @@ Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
     if (eq == std::string_view::npos) continue;
     kv[std::string(pair.substr(0, eq))] = std::string(pair.substr(eq + 1));
   }
-  std::string tree = kv["tree"];
+  std::string tree = Unescape(kv["tree"]);
   if (tree.empty()) {
     return Status::InvalidArgument(
         StrFormat("query params missing tree name: '%s'", params.c_str()));
   }
   if (kind == "lca") {
-    return std::make_pair(std::move(tree),
-                          QueryRequest(LcaQuery{kv["a"], kv["b"]}));
+    return std::make_pair(
+        std::move(tree),
+        QueryRequest(LcaQuery{Unescape(kv["a"]), Unescape(kv["b"])}));
   }
   if (kind == "project") {
     return std::make_pair(
@@ -164,7 +211,8 @@ Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
   if (kind == "pattern_match") {
     return std::make_pair(
         std::move(tree),
-        QueryRequest(PatternQuery{kv["pattern"], kv["weights"] == "1"}));
+        QueryRequest(
+            PatternQuery{Unescape(kv["pattern"]), kv["weights"] == "1"}));
   }
   return Status::Unimplemented(
       StrFormat("cannot decode query kind '%s'", kind.c_str()));

@@ -1,7 +1,8 @@
 // The typed query layer of the Crimson session API. Every structure
 // query is a value in the QueryRequest sum type; the facade executes
-// all of them through one dispatch path (Crimson::Execute), which is
-// also the single place where query history is recorded. Because the
+// all of them through one per-request routine (behind Crimson::Execute
+// and ExecuteBatch), which is also the single place where query
+// history is recorded. Because the
 // request itself is stored (serialized) in the Query Repository,
 // RerunQuery replays the typed value instead of re-parsing per-kind
 // strings.
@@ -105,13 +106,19 @@ std::string RenderResult(const QueryResult& result);
 
 // -- history (de)serialization ----------------------------------------------
 
-/// Encodes a request as the history "k=v&k=v" parameter string,
-/// byte-compatible with the strings the string-keyed facade wrote, so
-/// databases written before the session API replay unchanged.
+/// Encodes a request as the history "k=v&k=v" parameter string: the
+/// one canonical encoding of a query (history row, slow-log params and,
+/// prefixed with the kind tag, the result-cache key). Text values
+/// escape '%' and '&' as %25 and %26, and species-list elements also
+/// escape ',' as %2C, so distinct requests never share an encoding. A
+/// request with none of those characters encodes byte-identically to
+/// the strings earlier releases wrote, so their databases replay
+/// unchanged.
 std::string EncodeQueryParams(const std::string& tree_name,
                               const QueryRequest& request);
 
-/// Decodes a history entry back into (tree name, typed request).
+/// Decodes a history entry back into (tree name, typed request),
+/// undoing EncodeQueryParams' escapes.
 Result<std::pair<std::string, QueryRequest>> DecodeQueryRequest(
     const std::string& kind, const std::string& params);
 

@@ -1,17 +1,17 @@
 // Per-query trace spans. A TraceContext rides the executing thread
 // (thread-local, no allocation, no locking) and accumulates
-// microseconds per pipeline stage; Crimson::Execute publishes the
-// finished breakdown into the per-stage histograms and, when the
-// query ran over the slow-query threshold, into one structured log
-// line (see CrimsonOptions::slow_query_micros).
+// microseconds per pipeline stage; the session's per-query routine
+// publishes the finished breakdown into the per-stage histograms and,
+// when the query ran over the slow-query threshold, into one
+// structured log line (see CrimsonOptions::slow_query_micros).
 //
 // Threading model: ScopedTrace installs a stack-allocated context on
 // the current thread if none is active, and *reuses* the active one
 // otherwise -- so a server connection thread can open a context before
-// admission control, and the session Execute running on that same
-// thread (ExecuteBatch's ParallelFor includes the caller) attributes
-// the admission wait to the query. Worker threads without an installed
-// context get their own from Execute's ScopedTrace. SpanTimer is a
+// admission control, and the query ExecuteBatch runs on that same
+// thread (its ParallelFor includes the caller) attributes the
+// admission wait to itself. Worker threads without an installed
+// context get their own from the routine's ScopedTrace. SpanTimer is a
 // strict no-op when no context is active, which keeps every
 // instrumented call site unconditional.
 

@@ -36,14 +36,6 @@ TEST(CacheabilityTest, SamplingKindsNeverCache) {
   EXPECT_FALSE(QueryCache::IsCacheable(QueryRequest(SampleTimeQuery{3, 1.0})));
 }
 
-TEST(CacheabilityTest, KeysSeparateKindsTreesAndParams) {
-  const std::string a = QueryCache::KeyFor("t1", QueryRequest(LcaQuery{"x", "y"}));
-  EXPECT_NE(a, QueryCache::KeyFor("t2", QueryRequest(LcaQuery{"x", "y"})));
-  EXPECT_NE(a, QueryCache::KeyFor("t1", QueryRequest(LcaQuery{"x", "z"})));
-  EXPECT_NE(a, QueryCache::KeyFor("t1", QueryRequest(CladeQuery{{"x", "y"}})));
-  EXPECT_EQ(a, QueryCache::KeyFor("t1", QueryRequest(LcaQuery{"x", "y"})));
-}
-
 TEST(QueryCacheTest, InsertThenLookupHits) {
   QueryCache cache(1 << 20);
   ReadStamp stamp = cache.Stamp("t", 5);
@@ -122,8 +114,9 @@ TEST(InvalidationTest, StampTakenDuringMutationIsRejectedByEpochBarrier) {
 }
 
 TEST(InvalidationTest, MutationOnOneTreeLeavesOthersAlone) {
-  // Keys are globally unique because KeyFor embeds the tree name; the
-  // raw-key tests below follow the same discipline.
+  // Session keys are globally unique because the request encoding
+  // embeds the tree name; the raw-key tests below follow the same
+  // discipline.
   QueryCache cache(1 << 20);
   cache.Insert("a", "a/k", cache.Stamp("a", 1), LcaResult("a"));
   cache.Insert("b", "b/k", cache.Stamp("b", 1), LcaResult("b"));

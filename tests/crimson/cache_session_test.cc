@@ -112,6 +112,62 @@ TEST(CacheSessionTest, SamplingBypassesTheCacheButKeepsTicketParity) {
   EXPECT_EQ(uncached->GetCacheStats().hits, 0u);
 }
 
+TEST(CacheSessionTest, NamesWithSeparatorsNeverShareACacheEntry) {
+  // "a,b" is one leaf, distinct from the leaves "a" and "b"; "e&f" is
+  // one leaf too. Requests that differ only in how their names split
+  // must each get their own answer from a cached session, exactly as
+  // an uncached one computes it.
+  constexpr char kTricky[] =
+      "((('a,b':1,c:1):1,(a:1,b:1):1):1,(d:1,'e&f':1):1);";
+  auto cached = OpenSession(42, 1 << 20);
+  auto uncached = OpenSession(42, 0);
+  TreeRef ct = cached->LoadNewick("t", kTricky).value().ref;
+  TreeRef ut = uncached->LoadNewick("t", kTricky).value().ref;
+  const QueryRequest requests[] = {
+      QueryRequest(ProjectQuery{{"a,b", "d"}}),
+      QueryRequest(ProjectQuery{{"a", "b", "d"}}),
+      QueryRequest(CladeQuery{{"a,b", "c"}}),
+      QueryRequest(CladeQuery{{"a", "b", "c"}}),
+      QueryRequest(LcaQuery{"e&f", "c"}),
+      QueryRequest(LcaQuery{"e", "c"}),
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (const QueryRequest& request : requests) {
+      auto a = cached->Execute(ct, request);
+      auto b = uncached->Execute(ut, request);
+      ASSERT_EQ(a.ok(), b.ok()) << "round " << round;
+      if (a.ok()) {
+        EXPECT_EQ(RenderResult(*a), RenderResult(*b))
+            << "round " << round << " kind " << QueryKindName(request);
+      }
+    }
+  }
+  EXPECT_EQ(cached->GetCacheStats().hits, 5u) << "second round hits";
+}
+
+TEST(CacheSessionTest, KeysSeparateKindsTreesAndParams) {
+  // The cache key is the request's canonical encoding plus its kind
+  // tag: a projection and a clade over the same species, the same
+  // request on two trees, and two LCAs differing in one name are all
+  // distinct entries; only a repeat of the exact request hits.
+  auto crimson = OpenSession(42, 1 << 20);
+  TreeRef t1 = crimson->LoadNewick("t1", kFig1Newick).value().ref;
+  TreeRef t2 = crimson->LoadNewick("t2", kAltNewick).value().ref;
+  auto lca = crimson->Execute(t1, LcaQuery{"Lla", "Spy"});
+  ASSERT_TRUE(lca.ok());
+  ASSERT_TRUE(crimson->Execute(t2, LcaQuery{"Lla", "Spy"}).ok());
+  ASSERT_TRUE(crimson->Execute(t1, LcaQuery{"Lla", "Syn"}).ok());
+  auto project = crimson->Execute(t1, ProjectQuery{{"Lla", "Spy"}});
+  auto clade = crimson->Execute(t1, CladeQuery{{"Lla", "Spy"}});
+  ASSERT_TRUE(project.ok());
+  ASSERT_TRUE(clade.ok());
+  EXPECT_TRUE(std::holds_alternative<ProjectAnswer>(*project));
+  EXPECT_TRUE(std::holds_alternative<CladeAnswer>(*clade));
+  EXPECT_EQ(crimson->GetCacheStats().hits, 0u);
+  ASSERT_TRUE(crimson->Execute(t1, LcaQuery{"Lla", "Spy"}).ok());
+  EXPECT_EQ(crimson->GetCacheStats().hits, 1u);
+}
+
 TEST(CacheSessionTest, RandomInterleavingsMatchUncachedByteForByte) {
   // Drive two same-seed sessions (cache on / cache off) through an
   // identical pseudo-random schedule of queries, tree stores, species

@@ -16,6 +16,16 @@ namespace {
 constexpr char kFig1Newick[] =
     "(Syn:2.5,((Lla:1,Spy:1):0.5,Bha:1.5):0.75,Bsu:1.25)root;";
 
+/// Binds `tree` and runs one typed query, returning the answer
+/// alternative the request kind produces.
+template <typename Answer>
+Result<Answer> RunQuery(Crimson* c, const std::string& tree,
+                        const QueryRequest& request) {
+  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, c->OpenTree(tree));
+  CRIMSON_ASSIGN_OR_RETURN(QueryResult r, c->Execute(ref, request));
+  return std::get<Answer>(std::move(r));
+}
+
 class CrimsonFacadeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -26,9 +36,11 @@ class CrimsonFacadeTest : public ::testing::Test {
     crimson_ = std::move(c).value();
     auto report = crimson_->LoadNewick("fig1", kFig1Newick);
     ASSERT_TRUE(report.ok()) << report.status();
+    fig1_ = report->ref;
   }
 
   std::unique_ptr<Crimson> crimson_;
+  TreeRef fig1_;
 };
 
 TEST_F(CrimsonFacadeTest, ListAndGetTree) {
@@ -37,75 +49,89 @@ TEST_F(CrimsonFacadeTest, ListAndGetTree) {
   ASSERT_EQ(list->size(), 1u);
   EXPECT_EQ((*list)[0].name, "fig1");
   EXPECT_EQ((*list)[0].n_nodes, 8);
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(fig1_);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(PhyloTree::Equal(**tree, MakePaperFigure1Tree(), 1e-9,
                                /*ordered=*/false));
 }
 
 TEST_F(CrimsonFacadeTest, LcaQuery) {
-  auto a = crimson_->Lca("fig1", "Lla", "Spy");
+  Crimson* c = crimson_.get();
+  auto a = RunQuery<LcaAnswer>(c, "fig1", LcaQuery{"Lla", "Spy"});
   ASSERT_TRUE(a.ok()) << a.status();
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(fig1_);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ(a->node, (*tree)->parent((*tree)->FindByName("Lla")));
-  auto b = crimson_->Lca("fig1", "Lla", "Syn");
+  auto b = RunQuery<LcaAnswer>(c, "fig1", LcaQuery{"Lla", "Syn"});
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(b->name, "root");
-  EXPECT_TRUE(crimson_->Lca("fig1", "Lla", "Zzz").status().IsNotFound());
-  EXPECT_TRUE(crimson_->Lca("ghost", "A", "B").status().IsNotFound());
+  EXPECT_TRUE(RunQuery<LcaAnswer>(c, "fig1", LcaQuery{"Lla", "Zzz"})
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(
+      RunQuery<LcaAnswer>(c, "ghost", LcaQuery{"A", "B"}).status().IsNotFound());
 }
 
 TEST_F(CrimsonFacadeTest, ProjectQueryMatchesFigure2) {
-  auto proj = crimson_->Project("fig1", {"Bha", "Lla", "Syn"});
+  auto proj = RunQuery<ProjectAnswer>(crimson_.get(), "fig1",
+                                 ProjectQuery{{"Bha", "Lla", "Syn"}});
   ASSERT_TRUE(proj.ok()) << proj.status();
   auto expected = ParseNewick("((Lla:1.5,Bha:1.5):0.75,Syn:2.5)root;");
   ASSERT_TRUE(expected.ok());
-  EXPECT_TRUE(PhyloTree::Equal(*proj, *expected, 1e-9, /*ordered=*/false));
+  EXPECT_TRUE(PhyloTree::Equal(proj->projection, *expected, 1e-9,
+                               /*ordered=*/false));
 }
 
 TEST_F(CrimsonFacadeTest, SamplingQueries) {
-  auto uniform = crimson_->SampleUniform("fig1", 3);
+  auto uniform =
+      RunQuery<SampleAnswer>(crimson_.get(), "fig1", SampleUniformQuery{3});
   ASSERT_TRUE(uniform.ok());
-  EXPECT_EQ(uniform->size(), 3u);
-  auto timed = crimson_->SampleWithRespectToTime("fig1", 4, 1.0);
+  EXPECT_EQ(uniform->species.size(), 3u);
+  auto timed =
+      RunQuery<SampleAnswer>(crimson_.get(), "fig1", SampleTimeQuery{4, 1.0});
   ASSERT_TRUE(timed.ok());
-  std::set<std::string> names(timed->begin(), timed->end());
+  std::set<std::string> names(timed->species.begin(), timed->species.end());
   EXPECT_TRUE(names.count("Bha"));
   EXPECT_TRUE(names.count("Syn"));
   EXPECT_TRUE(names.count("Bsu"));
 }
 
 TEST_F(CrimsonFacadeTest, CladeQuery) {
-  auto clade = crimson_->MinimalClade("fig1", {"Lla", "Spy"});
+  auto clade =
+      RunQuery<CladeAnswer>(crimson_.get(), "fig1", CladeQuery{{"Lla", "Spy"}});
   ASSERT_TRUE(clade.ok());
   EXPECT_EQ(clade->node_count, 3u);
   EXPECT_EQ(clade->leaf_count, 2u);
-  auto wide = crimson_->MinimalClade("fig1", {"Lla", "Bsu"});
+  auto wide =
+      RunQuery<CladeAnswer>(crimson_.get(), "fig1", CladeQuery{{"Lla", "Bsu"}});
   ASSERT_TRUE(wide.ok());
   EXPECT_EQ(wide->node_count, 8u);
 }
 
 TEST_F(CrimsonFacadeTest, PatternMatchQuery) {
-  auto hit =
-      crimson_->MatchPattern("fig1", "((Bha:1.5,Lla:1.5):0.75,Syn:2.5);",
-                             /*match_weights=*/true);
+  auto hit = RunQuery<PatternAnswer>(
+      crimson_.get(), "fig1",
+      PatternQuery{"((Bha:1.5,Lla:1.5):0.75,Syn:2.5);",
+                   /*match_weights=*/true});
   ASSERT_TRUE(hit.ok()) << hit.status();
   EXPECT_TRUE(hit->exact);
   // Non-match with 4 leaves so unrooted RF is informative (3-leaf
   // unrooted trees have no non-trivial splits).
-  auto miss = crimson_->MatchPattern(
-      "fig1", "((Bha:1,Lla:1):1,(Spy:1,Syn:1):1);",
-      /*match_weights=*/false);
+  auto miss = RunQuery<PatternAnswer>(
+      crimson_.get(), "fig1",
+      PatternQuery{"((Bha:1,Lla:1):1,(Spy:1,Syn:1):1);",
+                   /*match_weights=*/false});
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->exact);
   EXPECT_GT(miss->rf_normalized, 0.0);
 }
 
 TEST_F(CrimsonFacadeTest, QueryHistoryRecordsEverything) {
-  ASSERT_TRUE(crimson_->Lca("fig1", "Lla", "Spy").ok());
-  ASSERT_TRUE(crimson_->Project("fig1", {"Bha", "Syn"}).ok());
-  ASSERT_TRUE(crimson_->SampleUniform("fig1", 2).ok());
+  Crimson* c = crimson_.get();
+  ASSERT_TRUE(RunQuery<LcaAnswer>(c, "fig1", LcaQuery{"Lla", "Spy"}).ok());
+  ASSERT_TRUE(
+      RunQuery<ProjectAnswer>(c, "fig1", ProjectQuery{{"Bha", "Syn"}}).ok());
+  ASSERT_TRUE(RunQuery<SampleAnswer>(c, "fig1", SampleUniformQuery{2}).ok());
   auto history = crimson_->QueryHistory();
   ASSERT_TRUE(history.ok());
   ASSERT_EQ(history->size(), 3u);
@@ -116,7 +142,8 @@ TEST_F(CrimsonFacadeTest, QueryHistoryRecordsEverything) {
 }
 
 TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
-  auto first = crimson_->Lca("fig1", "Lla", "Syn");
+  Crimson* c = crimson_.get();
+  auto first = RunQuery<LcaAnswer>(c, "fig1", LcaQuery{"Lla", "Syn"});
   ASSERT_TRUE(first.ok());
   auto history = crimson_->QueryHistory(1);
   ASSERT_TRUE(history.ok());
@@ -125,28 +152,14 @@ TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
   ASSERT_TRUE(rerun.ok()) << rerun.status();
   EXPECT_NE(rerun->find("root"), std::string::npos);
   // Projection reruns return Newick.
-  ASSERT_TRUE(crimson_->Project("fig1", {"Bha", "Lla", "Syn"}).ok());
+  ASSERT_TRUE(
+      RunQuery<ProjectAnswer>(c, "fig1", ProjectQuery{{"Bha", "Lla", "Syn"}}).ok());
   history = crimson_->QueryHistory(1);
   auto proj_rerun = crimson_->RerunQuery((*history)[0].query_id);
   ASSERT_TRUE(proj_rerun.ok());
   auto reparsed = ParseNewick(*proj_rerun);
   ASSERT_TRUE(reparsed.ok());
   EXPECT_EQ(reparsed->LeafCount(), 3u);
-}
-
-TEST_F(CrimsonFacadeTest, WrappersShareTheTypedExecutePath) {
-  // A legacy wrapper call and the equivalent typed Execute produce
-  // identical history entries -- they are one dispatch path.
-  ASSERT_TRUE(crimson_->Lca("fig1", "Lla", "Spy").ok());
-  auto ref = crimson_->OpenTree("fig1");
-  ASSERT_TRUE(ref.ok());
-  ASSERT_TRUE(crimson_->Execute(*ref, LcaQuery{"Lla", "Spy"}).ok());
-  auto history = crimson_->QueryHistory(2);
-  ASSERT_TRUE(history.ok());
-  ASSERT_EQ(history->size(), 2u);
-  EXPECT_EQ((*history)[0].kind, (*history)[1].kind);
-  EXPECT_EQ((*history)[0].params, (*history)[1].params);
-  EXPECT_EQ((*history)[0].summary, (*history)[1].summary);
 }
 
 TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
@@ -161,7 +174,7 @@ TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
 
 TEST_F(CrimsonFacadeTest, BenchmarkWithLoadedSequences) {
   // Attach simulated sequences, then benchmark NJ end to end.
-  auto tree = crimson_->GetTree("fig1");
+  auto tree = crimson_->GetTree(fig1_);
   ASSERT_TRUE(tree.ok());
   SeqEvolveOptions opts;
   opts.seq_length = 400;
@@ -192,7 +205,7 @@ TEST(CrimsonPersistenceTest, OnDiskLifecycle) {
     auto c = Crimson::Open(opts);
     ASSERT_TRUE(c.ok());
     ASSERT_TRUE((*c)->LoadNewick("fig1", kFig1Newick).ok());
-    ASSERT_TRUE((*c)->Lca("fig1", "Lla", "Spy").ok());
+    ASSERT_TRUE(RunQuery<LcaAnswer>(c->get(), "fig1", LcaQuery{"Lla", "Spy"}).ok());
     ASSERT_TRUE((*c)->Flush().ok());
   }
   {
@@ -209,7 +222,7 @@ TEST(CrimsonPersistenceTest, OnDiskLifecycle) {
     ASSERT_EQ(history->size(), 1u);
     EXPECT_EQ((*history)[0].kind, "lca");
     // And the tree still answers queries.
-    auto a = (*c)->Lca("fig1", "Lla", "Syn");
+    auto a = RunQuery<LcaAnswer>(c->get(), "fig1", LcaQuery{"Lla", "Syn"});
     ASSERT_TRUE(a.ok());
     EXPECT_EQ(a->name, "root");
   }
@@ -243,7 +256,9 @@ TEST(CrimsonViewerTest, ExportNexusAndRender) {
                                              {"Bha", "TTTT"}};
   ASSERT_TRUE((*c)->AppendSpeciesData("fig1", seqs).ok());
 
-  auto nexus = (*c)->ExportNexus("fig1");
+  auto ref = (*c)->OpenTree("fig1");
+  ASSERT_TRUE(ref.ok());
+  auto nexus = (*c)->ExportNexus(*ref);
   ASSERT_TRUE(nexus.ok()) << nexus.status();
   EXPECT_NE(nexus->find("#NEXUS"), std::string::npos);
   EXPECT_NE(nexus->find("TAXLABELS"), std::string::npos);
@@ -256,11 +271,11 @@ TEST(CrimsonViewerTest, ExportNexusAndRender) {
   EXPECT_TRUE(PhyloTree::Equal(doc->trees[0].tree, MakePaperFigure1Tree(),
                                1e-9, /*ordered=*/false));
 
-  auto art = (*c)->RenderTree("fig1");
+  auto art = (*c)->RenderTree(*ref);
   ASSERT_TRUE(art.ok());
   EXPECT_NE(art->find("Lla:1"), std::string::npos);
   EXPECT_NE(art->find("└──"), std::string::npos);
-  EXPECT_TRUE((*c)->RenderTree("ghost").status().IsNotFound());
+  EXPECT_TRUE((*c)->OpenTree("ghost").status().IsNotFound());
 }
 
 TEST(CrimsonDuplicateBind, PreexistingDuplicateTreeBindsFirstOccurrence) {
@@ -297,7 +312,7 @@ TEST(CrimsonDuplicateBind, PreexistingDuplicateTreeBindsFirstOccurrence) {
   // "Dup" resolves to node 2 (the first occurrence), so LCA(Dup, C) is
   // their shared parent -- not the root that the shadowed node 4 would
   // produce.
-  auto lca = (*c)->Lca("legacy_dups", "Dup", "C");
+  auto lca = RunQuery<LcaAnswer>(c->get(), "legacy_dups", LcaQuery{"Dup", "C"});
   ASSERT_TRUE(lca.ok()) << lca.status();
   EXPECT_EQ(lca->node, (*tree)->parent((*tree)->FindByName("Dup")));
   EXPECT_NE(lca->node, (*tree)->root());

@@ -166,6 +166,36 @@ TEST(ObsSessionTest, SessionsDoNotShareCounters) {
   EXPECT_EQ(b->SnapshotMetrics().counter("query.lca.count"), 0u);
 }
 
+TEST(ObsSessionTest, HistoryStepIsTimedOncePerCall) {
+  // Each Execute / ExecuteBatch call appends its history in one step
+  // after its queries finish (a cap of 1 makes that step flush too),
+  // and the step is observed once per call, whatever the batch size.
+  CrimsonOptions opts;
+  opts.history_buffer_cap = 1;
+  auto crimson = OpenSession(std::move(opts));
+  auto report = crimson->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(report.ok());
+  std::vector<QueryRequest> requests;
+  for (int i = 0; i < 64; ++i) requests.push_back(SixKinds()[i % 6]);
+  for (const auto& r : crimson->ExecuteBatch(report->ref, requests)) {
+    ASSERT_TRUE(r.ok()) << r.status();
+  }
+  auto enqueue_count = [&] {
+    const obs::MetricsSnapshot snap = crimson->SnapshotMetrics();
+    const obs::HistogramSnapshot* h =
+        snap.histogram("query.stage.history_enqueue_us");
+    return h == nullptr ? uint64_t{0} : h->count;
+  };
+  EXPECT_EQ(enqueue_count(), 1u);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(crimson->Execute(report->ref, SixKinds()[i]).ok());
+  }
+  EXPECT_EQ(enqueue_count(), 4u);
+  auto history = crimson->QueryHistory(100);
+  ASSERT_TRUE(history.ok());
+  EXPECT_EQ(history->size(), 67u);
+}
+
 TEST(ObsSessionStress, BatchesRaceSnapshotsWithoutLosingCounts) {
   auto crimson = OpenSession();
   auto report = crimson->LoadNewick("fig1", kFig1Newick);

@@ -36,14 +36,27 @@ std::string WideNewick(size_t n) {
   return out;
 }
 
-std::unique_ptr<Crimson> OpenSession(uint64_t seed, size_t workers = 4) {
+std::unique_ptr<Crimson> OpenSession(
+    uint64_t seed, size_t workers = 4,
+    uint64_t cache_bytes = CrimsonOptions().query_cache_bytes) {
   CrimsonOptions opts;
   opts.f = 3;
   opts.seed = seed;
   opts.batch_workers = workers;
+  opts.query_cache_bytes = cache_bytes;
   auto c = Crimson::Open(opts);
   EXPECT_TRUE(c.ok()) << c.status();
   return std::move(c).value();
+}
+
+/// Binds `tree` and draws one uniform sample of `k` species.
+Result<std::vector<std::string>> SampleUniform(Crimson* c,
+                                               const std::string& tree,
+                                               size_t k) {
+  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, c->OpenTree(tree));
+  CRIMSON_ASSIGN_OR_RETURN(QueryResult r,
+                           c->Execute(ref, SampleUniformQuery{k}));
+  return std::get<SampleAnswer>(std::move(r)).species;
 }
 
 TEST(TreeRefTest, LoadReturnsHandleAndOpenTreeIsStable) {
@@ -168,47 +181,114 @@ TEST(RerunTest, RoundTripAcrossAllSixKinds) {
   EXPECT_EQ(reparsed->LeafCount(), 3u);
 }
 
+TEST(RerunTest, EachRerunReplaysItsOwnRequest) {
+  // Species names may contain the encoding's separators: "a,b" is one
+  // leaf, distinct from the leaves "a" and "b", and "e&f" is one leaf
+  // too. Every query must record its own history row, and each rerun
+  // must replay its own request. The cache is off so every answer is
+  // computed.
+  auto crimson = OpenSession(42, /*workers=*/4, /*cache_bytes=*/0);
+  auto report = crimson->LoadNewick(
+      "t", "((('a,b':1,c:1):1,(a:1,b:1):1):1,(d:1,'e&f':1):1);");
+  ASSERT_TRUE(report.ok()) << report.status();
+  const QueryRequest requests[] = {
+      QueryRequest(ProjectQuery{{"a,b", "d"}}),
+      QueryRequest(ProjectQuery{{"a", "b", "d"}}),
+      QueryRequest(CladeQuery{{"a,b", "c"}}),
+      QueryRequest(LcaQuery{"e&f", "d"}),
+  };
+  std::vector<std::string> rendered;
+  std::vector<int64_t> ids;
+  std::set<std::string> params;
+  for (const QueryRequest& request : requests) {
+    auto r = crimson->Execute(report->ref, request);
+    ASSERT_TRUE(r.ok()) << r.status();
+    rendered.push_back(RenderResult(*r));
+    auto history = crimson->QueryHistory(1);
+    ASSERT_TRUE(history.ok());
+    ids.push_back((*history)[0].query_id);
+    params.insert((*history)[0].params);
+  }
+  EXPECT_EQ(params.size(), ids.size()) << "history rows must not collide";
+  EXPECT_NE(rendered[0], rendered[1]);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto rerun = crimson->RerunQuery(ids[i]);
+    ASSERT_TRUE(rerun.ok()) << "query " << ids[i] << ": " << rerun.status();
+    EXPECT_EQ(*rerun, rendered[i]) << "query " << ids[i];
+  }
+}
+
 TEST(ExecuteBatchTest, BatchedIdenticalToSequentialForSameSeed) {
   // Session A executes the list batched on >= 4 workers; session B
-  // (same seed) executes it sequentially. Rendered results must be
-  // byte-identical, index by index.
-  std::vector<QueryRequest> requests;
+  // (same seed) executes it sequentially, both with the result cache
+  // on. Rendered results must be byte-identical, index by index, and
+  // so must the cache counters and the full history. Each batch is one
+  // round of the six kinds, so no batch carries a duplicate cache key
+  // (two workers racing on one key could both miss) and the counters
+  // are deterministic.
+  std::vector<std::vector<QueryRequest>> rounds;
   for (int i = 0; i < 8; ++i) {
-    requests.emplace_back(LcaQuery{"Lla", i % 2 ? "Syn" : "Spy"});
-    requests.emplace_back(SampleUniformQuery{3});
-    requests.emplace_back(ProjectQuery{{"Bha", "Lla", "Syn"}});
-    requests.emplace_back(SampleTimeQuery{4, 1.0});
-    requests.emplace_back(CladeQuery{{"Lla", "Spy"}});
-    requests.emplace_back(
-        PatternQuery{"((Bha:1.5,Lla:1.5):0.75,Syn:2.5);", true});
+    rounds.push_back({
+        LcaQuery{"Lla", i % 2 ? "Syn" : "Spy"},
+        SampleUniformQuery{3},
+        ProjectQuery{{"Bha", "Lla", "Syn"}},
+        SampleTimeQuery{4, 1.0},
+        CladeQuery{{"Lla", "Spy"}},
+        PatternQuery{"((Bha:1.5,Lla:1.5):0.75,Syn:2.5);", true},
+    });
   }
 
   auto a = OpenSession(/*seed=*/7, /*workers=*/4);
   auto ra = a->LoadNewick("fig1", kFig1Newick);
   ASSERT_TRUE(ra.ok());
-  auto batched = a->ExecuteBatch(ra->ref, requests);
-  ASSERT_EQ(batched.size(), requests.size());
+  std::vector<Result<QueryResult>> batched;
+  for (const auto& round : rounds) {
+    for (auto& r : a->ExecuteBatch(ra->ref, round)) {
+      batched.push_back(std::move(r));
+    }
+  }
 
   auto b = OpenSession(/*seed=*/7, /*workers=*/4);
   auto rb = b->LoadNewick("fig1", kFig1Newick);
   ASSERT_TRUE(rb.ok());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    auto sequential = b->Execute(rb->ref, requests[i]);
-    ASSERT_TRUE(sequential.ok()) << i << ": " << sequential.status();
-    ASSERT_TRUE(batched[i].ok()) << i << ": " << batched[i].status();
-    EXPECT_EQ(RenderResult(*batched[i]), RenderResult(*sequential))
-        << "request " << i;
+  size_t i = 0;
+  for (const auto& round : rounds) {
+    for (const QueryRequest& request : round) {
+      auto sequential = b->Execute(rb->ref, request);
+      ASSERT_TRUE(sequential.ok()) << i << ": " << sequential.status();
+      ASSERT_TRUE(batched[i].ok()) << i << ": " << batched[i].status();
+      EXPECT_EQ(RenderResult(*batched[i]), RenderResult(*sequential))
+          << "request " << i;
+      ++i;
+    }
   }
 
-  // Histories agree in order, kind, and summary too.
-  auto ha = a->QueryHistory(requests.size());
-  auto hb = b->QueryHistory(requests.size());
+  // Both paths account the cache identically: the first two rounds
+  // miss and insert each distinct cacheable request, every repeat
+  // hits, and every sampling query bypasses.
+  const cache::CacheStats ca = a->GetCacheStats();
+  const cache::CacheStats cb = b->GetCacheStats();
+  EXPECT_EQ(ca.hits, cb.hits);
+  EXPECT_EQ(ca.misses, cb.misses);
+  EXPECT_EQ(ca.bypassed, cb.bypassed);
+  EXPECT_EQ(ca.insertions, cb.insertions);
+  EXPECT_EQ(cb.misses, 5u);
+  EXPECT_EQ(cb.insertions, 5u);
+  EXPECT_EQ(cb.hits, 8u * 4u - 5u);
+  EXPECT_EQ(cb.bypassed, 8u * 2u);
+
+  // Histories agree row for row: ids, kind, params, and summary.
+  auto ha = a->QueryHistory(i);
+  auto hb = b->QueryHistory(i);
   ASSERT_TRUE(ha.ok());
   ASSERT_TRUE(hb.ok());
-  ASSERT_EQ(ha->size(), hb->size());
-  for (size_t i = 0; i < ha->size(); ++i) {
-    EXPECT_EQ((*ha)[i].kind, (*hb)[i].kind);
-    EXPECT_EQ((*ha)[i].summary, (*hb)[i].summary);
+  ASSERT_EQ(ha->size(), i);
+  ASSERT_EQ(hb->size(), i);
+  for (size_t j = 0; j < ha->size(); ++j) {
+    EXPECT_EQ((*ha)[j].query_id, (*hb)[j].query_id) << "row " << j;
+    EXPECT_EQ((*ha)[j].kind, (*hb)[j].kind) << "row " << j;
+    EXPECT_EQ((*ha)[j].params, (*hb)[j].params) << "row " << j;
+    EXPECT_EQ((*ha)[j].summary, (*hb)[j].summary) << "row " << j;
   }
 }
 
@@ -276,9 +356,9 @@ TEST(SeedTest, DifferentSeedsProduceDifferentSamples) {
   ASSERT_TRUE(b->LoadNewick("wide", wide).ok());
   ASSERT_TRUE(c->LoadNewick("wide", wide).ok());
 
-  auto sa = a->SampleUniform("wide", 8);
-  auto sb = b->SampleUniform("wide", 8);
-  auto sc = c->SampleUniform("wide", 8);
+  auto sa = SampleUniform(a.get(), "wide", 8);
+  auto sb = SampleUniform(b.get(), "wide", 8);
+  auto sc = SampleUniform(c.get(), "wide", 8);
   ASSERT_TRUE(sa.ok());
   ASSERT_TRUE(sb.ok());
   ASSERT_TRUE(sc.ok());
@@ -294,10 +374,14 @@ TEST(SeedTest, EachQueryDrawsFromItsOwnTicketedRng) {
   auto b = OpenSession(9);
   ASSERT_TRUE(a->LoadNewick("fig1", kFig1Newick).ok());
   ASSERT_TRUE(b->LoadNewick("fig1", kFig1Newick).ok());
-  ASSERT_TRUE(a->Lca("fig1", "Lla", "Spy").ok());
-  ASSERT_TRUE(b->MinimalClade("fig1", {"Lla", "Spy"}).ok());
-  auto sa = a->SampleUniform("fig1", 3);
-  auto sb = b->SampleUniform("fig1", 3);
+  auto ta = a->OpenTree("fig1");
+  auto tb = b->OpenTree("fig1");
+  ASSERT_TRUE(ta.ok());
+  ASSERT_TRUE(tb.ok());
+  ASSERT_TRUE(a->Execute(*ta, LcaQuery{"Lla", "Spy"}).ok());
+  ASSERT_TRUE(b->Execute(*tb, CladeQuery{{"Lla", "Spy"}}).ok());
+  auto sa = SampleUniform(a.get(), "fig1", 3);
+  auto sb = SampleUniform(b.get(), "fig1", 3);
   ASSERT_TRUE(sa.ok());
   ASSERT_TRUE(sb.ok());
   EXPECT_EQ(*sa, *sb);
@@ -345,25 +429,27 @@ TEST(BulkLoadPathTest, BulkAndPerRowSessionsAnswerIdentically) {
 }
 
 TEST(TreeRefTest, ExportAndRenderTakeHandles) {
-  // The TreeRef overloads answer identically to the name-keyed shims
-  // and reject refs the session did not issue.
+  // The load's ref and a later OpenTree ref answer identically, and
+  // refs the session did not issue are rejected.
   auto crimson = OpenSession(42);
   auto report = crimson->LoadNewick("fig1", kFig1Newick);
   ASSERT_TRUE(report.ok());
   TreeRef tree = report->ref;
+  auto reopened = crimson->OpenTree("fig1");
+  ASSERT_TRUE(reopened.ok());
 
   auto nexus_ref = crimson->ExportNexus(tree);
-  auto nexus_name = crimson->ExportNexus("fig1");
+  auto nexus_reopened = crimson->ExportNexus(*reopened);
   ASSERT_TRUE(nexus_ref.ok()) << nexus_ref.status();
-  ASSERT_TRUE(nexus_name.ok());
-  EXPECT_EQ(*nexus_ref, *nexus_name);
+  ASSERT_TRUE(nexus_reopened.ok());
+  EXPECT_EQ(*nexus_ref, *nexus_reopened);
   EXPECT_NE(nexus_ref->find("#NEXUS"), std::string::npos);
 
   auto art_ref = crimson->RenderTree(tree);
-  auto art_name = crimson->RenderTree("fig1");
+  auto art_reopened = crimson->RenderTree(*reopened);
   ASSERT_TRUE(art_ref.ok()) << art_ref.status();
-  ASSERT_TRUE(art_name.ok());
-  EXPECT_EQ(*art_ref, *art_name);
+  ASSERT_TRUE(art_reopened.ok());
+  EXPECT_EQ(*art_ref, *art_reopened);
   EXPECT_NE(art_ref->find("Lla"), std::string::npos);
 
   TreeRef invalid;
