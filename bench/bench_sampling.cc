@@ -4,7 +4,11 @@
 // scales (hundreds to thousands of species).
 //
 // Shape expectation: uniform sampling is O(k) after O(n) setup;
-// time sampling costs frontier discovery plus per-subtree draws.
+// time sampling costs the frontier walk (nodes at or above the
+// frontier) plus O(k) draws from the subtree index's leaf slices. The
+// setup itself is BM_SubtreeIndexBuild: two linear passes, against
+// BM_PerNodeColumns, the five PhyloTree walks a sampler plus projector
+// used to make over the same tree.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +16,7 @@
 
 #include "bench_util.h"
 #include "query/sampling.h"
+#include "tree/subtree_index.h"
 
 namespace crimson {
 namespace {
@@ -76,6 +81,34 @@ void BM_TimeFrontier(benchmark::State& state) {
   state.counters["frontier"] = static_cast<double>(frontier_size);
 }
 
+void BM_SubtreeIndexBuild(benchmark::State& state) {
+  const PhyloTree& tree =
+      bench::CachedYule(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    SubtreeIndex index(&tree);
+    benchmark::DoNotOptimize(index);
+  }
+  state.counters["nodes"] = static_cast<double>(tree.size());
+}
+
+void BM_PerNodeColumns(benchmark::State& state) {
+  const PhyloTree& tree =
+      bench::CachedYule(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    auto leaves = tree.Leaves();
+    auto weights = tree.RootPathWeights();
+    auto ranks = tree.PreOrderRanks();
+    auto depths = tree.Depths();
+    auto weights_again = tree.RootPathWeights();
+    benchmark::DoNotOptimize(leaves);
+    benchmark::DoNotOptimize(weights);
+    benchmark::DoNotOptimize(ranks);
+    benchmark::DoNotOptimize(depths);
+    benchmark::DoNotOptimize(weights_again);
+  }
+  state.counters["nodes"] = static_cast<double>(tree.size());
+}
+
 // Args: {tree leaves, k}.
 BENCHMARK(BM_SampleUniform)
     ->Args({10000, 100})->Args({10000, 1000})
@@ -89,6 +122,9 @@ BENCHMARK(BM_SampleWithRespectToTime)
 BENCHMARK(BM_TimeFrontier)
     ->Args({100000, 25})->Args({100000, 50})->Args({100000, 75})
     ->Unit(benchmark::kMillisecond);
+// Args: {tree leaves}.
+BENCHMARK(BM_SubtreeIndexBuild)->Arg(100000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PerNodeColumns)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace crimson

@@ -42,8 +42,15 @@ Status BenchmarkManager::Init() {
     owned_names_ = std::make_unique<NameIndex>(NameIndex::Build(*tree_));
     names_ = owned_names_.get();
   }
-  sampler_ = std::make_unique<Sampler>(tree_);
-  projector_ = std::make_unique<TreeProjector>(tree_, scheme_);
+  if (index_ == nullptr) {
+    owned_index_ = std::make_unique<SubtreeIndex>(tree_);
+    index_ = owned_index_.get();
+  } else if (&index_->tree() != tree_) {
+    return Status::InvalidArgument(
+        "borrowed subtree index is not over the gold tree");
+  }
+  sampler_ = std::make_unique<Sampler>(index_);
+  projector_ = std::make_unique<TreeProjector>(index_, scheme_);
   return Status::OK();
 }
 

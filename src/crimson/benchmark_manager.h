@@ -25,6 +25,7 @@
 #include "recon/triplet.h"
 #include "tree/name_index.h"
 #include "tree/phylo_tree.h"
+#include "tree/subtree_index.h"
 
 namespace crimson {
 
@@ -83,6 +84,12 @@ class BenchmarkManager {
   /// Init() builds a private index. Call before Init().
   void set_name_index(const NameIndex* names) { names_ = names; }
 
+  /// Borrows a pre-built subtree index over the gold tree (the session
+  /// passes the TreeHandle's); must outlive the manager. Init() then
+  /// builds the sampler and projector over it in O(1); without one,
+  /// Init() builds a private index they share. Call before Init().
+  void set_subtree_index(const SubtreeIndex* index) { index_ = index; }
+
   Status Init();
 
   /// Runs one evaluation.
@@ -108,6 +115,9 @@ class BenchmarkManager {
   /// Built by Init() when not borrowed via set_name_index().
   std::unique_ptr<NameIndex> owned_names_;
   const NameIndex* names_ = nullptr;
+  /// Built by Init() when not borrowed via set_subtree_index().
+  std::unique_ptr<SubtreeIndex> owned_index_;
+  const SubtreeIndex* index_ = nullptr;
   std::unique_ptr<Sampler> sampler_;
   std::unique_ptr<TreeProjector> projector_;
 };

@@ -400,8 +400,9 @@ Result<TreeRef> Crimson::OpenTree(const std::string& name) {
           << "tree '" << name << "' has duplicate leaf names; "
           << "name-addressed queries resolve to the first occurrence";
     }
-    h->sampler = std::make_unique<Sampler>(&h->tree);
-    h->projector = std::make_unique<TreeProjector>(&h->tree, &h->scheme);
+    h->index = SubtreeIndex(&h->tree);
+    h->sampler = std::make_unique<Sampler>(&h->index);
+    h->projector = std::make_unique<TreeProjector>(&h->index, &h->scheme);
     h->matcher =
         std::make_unique<PatternMatcher>(h->projector.get(), &h->names);
     return h;
@@ -519,15 +520,13 @@ Result<QueryResult> Crimson::ExecuteOnHandle(const TreeHandle& handle,
           [&](const CladeQuery& q) -> Result<QueryResult> {
             CRIMSON_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
                                      ResolveSpecies(handle, q.species));
-            CRIMSON_ASSIGN_OR_RETURN(
-                Clade clade,
-                MinimalSpanningClade(handle.tree, handle.scheme, nodes));
+            // The clade is the subtree under the set's LCA; its sizes
+            // are index lookups, never a walk of the subtree.
             CladeAnswer answer;
-            answer.root = clade.root;
-            answer.node_count = clade.nodes.size();
-            for (NodeId n : clade.nodes) {
-              if (handle.tree.is_leaf(n)) ++answer.leaf_count;
-            }
+            CRIMSON_ASSIGN_OR_RETURN(answer.root,
+                                     LcaOfSet(handle.scheme, nodes));
+            answer.node_count = handle.index.subtree_size(answer.root);
+            answer.leaf_count = handle.index.leaf_count(answer.root);
             return QueryResult(std::move(answer));
           },
           [&](const PatternQuery& q) -> Result<QueryResult> {
@@ -710,11 +709,11 @@ std::vector<Result<QueryResult>> Crimson::ExecuteBatch(
 /// up front: the cracked store (src/cache) keeps the tree's sorted
 /// leaf-name domain and faults in only the ordinal slices that
 /// experiment samples actually touch, refining its piece map with the
-/// observed mix. The manager borrows the handle's tree and
-/// layered-Dewey scheme (no relabel) and is shared, immutable, across
-/// all experiment workers; the store's internal mutex serializes its
-/// lazy loads. The handle shared_ptr keeps the borrowed tree/scheme
-/// alive.
+/// observed mix. The manager borrows the handle's tree, layered-Dewey
+/// scheme, name index and subtree index (no O(n) rebuild of any of
+/// them) and is shared, immutable, across all experiment workers; the
+/// store's internal mutex serializes its lazy loads. The handle
+/// shared_ptr keeps the borrowed state alive.
 struct Crimson::EvalState {
   std::shared_ptr<const TreeHandle> handle;
   std::unique_ptr<cache::CrackedSequenceStore> store;
@@ -726,6 +725,7 @@ struct Crimson::EvalState {
         store(std::move(s)),
         manager(&handle->tree, store.get(), &handle->scheme) {
     manager.set_name_index(&handle->names);
+    manager.set_subtree_index(&handle->index);
   }
 };
 

@@ -54,9 +54,9 @@
 #include "crimson/tree_ref.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/clade.h"
 #include "query/pattern_match.h"
 #include "storage/database.h"
+#include "tree/subtree_index.h"
 
 namespace crimson {
 
@@ -307,6 +307,11 @@ class Crimson {
     /// species resolution, the pattern matcher, the cracked store's
     /// leaf domain, and NEXUS export.
     NameIndex names;
+    /// Subtree index built once per bind: pre-order ranks, subtree
+    /// node/leaf counts, pre-order leaf slices and root-path weights.
+    /// The sampler and projector borrow it, and the clade kind answers
+    /// from it directly.
+    SubtreeIndex index;
     std::unique_ptr<Sampler> sampler;
     std::unique_ptr<TreeProjector> projector;
     std::unique_ptr<PatternMatcher> matcher;

@@ -12,9 +12,13 @@ namespace crimson {
 namespace net {
 
 /// One accepted connection: its socket, its serving thread, and a done
-/// flag the accept loop uses to reap finished slots.
+/// flag the accept loop uses to reap finished slots. `close_mu` orders
+/// Shutdown's half-close against the serving thread's Close: without
+/// it the two race on the descriptor, and a half-close landing after
+/// Close could hit a descriptor number the process has since reused.
 struct CrimsonServer::Connection {
   Socket socket;
+  std::mutex close_mu;
   std::thread thread;
   std::atomic<bool> done{false};
 };
@@ -79,7 +83,10 @@ Status CrimsonServer::Shutdown() {
   // still flush before the serving thread exits.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& conn : conns_) conn->socket.ShutdownRead();
+    for (auto& conn : conns_) {
+      std::lock_guard<std::mutex> close_lock(conn->close_mu);
+      conn->socket.ShutdownRead();
+    }
   }
   JoinConnections(/*all=*/true);
   // Everything in flight has drained; make the session durable.
@@ -229,7 +236,10 @@ void CrimsonServer::ServeConnection(Connection* conn) {
       closing = true;
     }
   }
-  conn->socket.Close();
+  {
+    std::lock_guard<std::mutex> close_lock(conn->close_mu);
+    conn->socket.Close();
+  }
   conn->done.store(true);
 }
 

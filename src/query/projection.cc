@@ -8,20 +8,24 @@ namespace crimson {
 
 TreeProjector::TreeProjector(const PhyloTree* tree,
                              const LabelingScheme* scheme)
-    : tree_(tree),
-      scheme_(scheme),
-      preorder_(tree->PreOrderRanks()),
-      depth_(tree->Depths()),
-      root_weight_(tree->RootPathWeights()) {}
+    : owned_index_(std::make_unique<SubtreeIndex>(tree)),
+      index_(owned_index_.get()),
+      scheme_(scheme) {}
+
+TreeProjector::TreeProjector(const SubtreeIndex* index,
+                             const LabelingScheme* scheme)
+    : index_(index), scheme_(scheme) {}
 
 Result<PhyloTree> TreeProjector::Project(std::vector<NodeId> leaves) const {
   PhyloTree out;
   if (leaves.empty()) return out;
+  const PhyloTree& tree = index_->tree();
+  const std::vector<uint32_t>& preorder = index_->preorder_ranks();
   for (NodeId n : leaves) {
-    if (n >= tree_->size()) {
+    if (n >= tree.size()) {
       return Status::InvalidArgument("projection: node out of range");
     }
-    if (!tree_->is_leaf(n)) {
+    if (!tree.is_leaf(n)) {
       return Status::InvalidArgument(
           StrFormat("projection: node %u is not a leaf", n));
     }
@@ -29,12 +33,12 @@ Result<PhyloTree> TreeProjector::Project(std::vector<NodeId> leaves) const {
 
   // Pre-order sort, then dedup.
   std::sort(leaves.begin(), leaves.end(), [&](NodeId a, NodeId b) {
-    return preorder_[a] < preorder_[b];
+    return preorder[a] < preorder[b];
   });
   leaves.erase(std::unique(leaves.begin(), leaves.end()), leaves.end());
 
   if (leaves.size() == 1) {
-    out.AddRoot(tree_->name(leaves[0]), 0.0);
+    out.AddRoot(tree.name(leaves[0]), 0.0);
     return out;
   }
 
@@ -55,12 +59,14 @@ Result<PhyloTree> TreeProjector::Project(std::vector<NodeId> leaves) const {
     NodeId x = leaves[i];
     CRIMSON_ASSIGN_OR_RETURN(NodeId l,
                              scheme_->Lca(tmp[stack.back()].orig, x));
-    // Pop everything strictly deeper than l, wiring parents as we go.
+    // Pop everything strictly below l, wiring parents as we go. The
+    // stack and l all lie on the root path of the stack top, so "deeper
+    // than l" is "later than l in pre-order".
     int last_popped = -1;
-    while (!stack.empty() && depth_[tmp[stack.back()].orig] > depth_[l]) {
+    while (!stack.empty() && preorder[tmp[stack.back()].orig] > preorder[l]) {
       int v = stack.back();
       stack.pop_back();
-      if (!stack.empty() && depth_[tmp[stack.back()].orig] > depth_[l]) {
+      if (!stack.empty() && preorder[tmp[stack.back()].orig] > preorder[l]) {
         tmp[v].parent = stack.back();
       } else {
         last_popped = v;  // attaches to l (created or found below)
@@ -101,17 +107,18 @@ Result<PhyloTree> TreeProjector::Project(std::vector<NodeId> leaves) const {
   }
   for (auto& kids : children) {
     std::sort(kids.begin(), kids.end(), [&](int a, int b) {
-      return preorder_[tmp[a].orig] < preorder_[tmp[b].orig];
+      return preorder[tmp[a].orig] < preorder[tmp[b].orig];
     });
   }
   std::vector<NodeId> new_id(tmp.size(), kNoNode);
-  new_id[root_idx] = out.AddRoot(tree_->name(tmp[root_idx].orig), 0.0);
+  new_id[root_idx] = out.AddRoot(tree.name(tmp[root_idx].orig), 0.0);
   std::vector<int> queue = {root_idx};
   for (size_t qi = 0; qi < queue.size(); ++qi) {
     int v = queue[qi];
     for (int c : children[v]) {
-      double edge = root_weight_[tmp[c].orig] - root_weight_[tmp[v].orig];
-      new_id[c] = out.AddChild(new_id[v], tree_->name(tmp[c].orig), edge);
+      double edge = index_->root_weight(tmp[c].orig) -
+                    index_->root_weight(tmp[v].orig);
+      new_id[c] = out.AddChild(new_id[v], tree.name(tmp[c].orig), edge);
       queue.push_back(c);
     }
   }

@@ -13,36 +13,41 @@
 #define CRIMSON_QUERY_PROJECTION_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "labeling/scheme.h"
 #include "tree/phylo_tree.h"
+#include "tree/subtree_index.h"
 
 namespace crimson {
 
-/// Reusable projector; precomputes pre-order ranks, depths, and root
-/// path weights of the source tree once (O(n)), then answers each
-/// projection in O(|S| log |S| + |S| * lca_cost). Immutable after
-/// construction; Project is const and allocates only locals, so one
-/// projector may be shared across threads.
+/// Reusable projector; reads pre-order ranks and root path weights
+/// from a SubtreeIndex of the source tree, then answers each projection
+/// in O(|S| log |S| + |S| * lca_cost). Immutable after construction;
+/// Project is const and allocates only locals, so one projector may be
+/// shared across threads.
 class TreeProjector {
  public:
-  /// Both arguments must outlive the projector; scheme must be built
-  /// over *tree.
+  /// Builds a private SubtreeIndex over `tree` (O(n)). Both arguments
+  /// must outlive the projector; scheme must be built over *tree.
   TreeProjector(const PhyloTree* tree, const LabelingScheme* scheme);
+
+  /// Borrows a prebuilt index (O(1)). Both arguments must outlive the
+  /// projector; scheme must be built over index->tree().
+  TreeProjector(const SubtreeIndex* index, const LabelingScheme* scheme);
 
   /// Projects the tree induced by the given leaves (duplicates are
   /// ignored). Fails if any node is not a leaf of the source tree.
   Result<PhyloTree> Project(std::vector<NodeId> leaves) const;
 
-  const PhyloTree& tree() const { return *tree_; }
+  const PhyloTree& tree() const { return index_->tree(); }
 
  private:
-  const PhyloTree* tree_;
+  /// Set by the tree constructor; null when the index is borrowed.
+  std::unique_ptr<SubtreeIndex> owned_index_;
+  const SubtreeIndex* index_;
   const LabelingScheme* scheme_;
-  std::vector<uint32_t> preorder_;
-  std::vector<uint32_t> depth_;
-  std::vector<double> root_weight_;
 };
 
 }  // namespace crimson

@@ -7,58 +7,47 @@
 namespace crimson {
 
 Sampler::Sampler(const PhyloTree* tree)
-    : tree_(tree),
-      leaves_(tree->Leaves()),
-      root_weight_(tree->RootPathWeights()) {}
+    : owned_index_(std::make_unique<SubtreeIndex>(tree)),
+      index_(owned_index_.get()) {}
+
+Sampler::Sampler(const SubtreeIndex* index) : index_(index) {}
 
 Result<std::vector<NodeId>> Sampler::SampleUniform(size_t k, Rng* rng) const {
-  if (k > leaves_.size()) {
+  const std::vector<NodeId>& leaves = index_->leaves();
+  if (k > leaves.size()) {
     return Status::InvalidArgument(
         StrFormat("sample size %zu exceeds leaf count %zu", k,
-                  leaves_.size()));
+                  leaves.size()));
   }
-  std::vector<uint64_t> idx = rng->SampleWithoutReplacement(leaves_.size(), k);
+  std::vector<uint64_t> idx = rng->SampleWithoutReplacement(leaves.size(), k);
   std::vector<NodeId> out;
   out.reserve(k);
-  for (uint64_t i : idx) out.push_back(leaves_[i]);
+  for (uint64_t i : idx) out.push_back(leaves[i]);
   return out;
 }
 
 std::vector<NodeId> Sampler::TimeFrontier(double time) const {
-  // DFS from the root; stop descending at the first node whose weight
-  // exceeds `time` (minimality).
+  // Pre-order walk that stops descending at the first node whose
+  // weight exceeds `time` (minimality). Sibling-chain trick as in
+  // PhyloTree::PreOrder: a visited node pushes its next sibling, then
+  // its first child, so nodes pop in pre-order and no sort is needed.
   std::vector<NodeId> frontier;
-  if (tree_->empty()) return frontier;
-  std::vector<NodeId> stack = {tree_->root()};
+  const PhyloTree& tree = index_->tree();
+  if (tree.empty()) return frontier;
+  std::vector<NodeId> stack = {tree.root()};
   while (!stack.empty()) {
     NodeId n = stack.back();
     stack.pop_back();
-    if (root_weight_[n] > time) {
-      frontier.push_back(n);
-      continue;
+    if (tree.next_sibling(n) != kNoNode) {
+      stack.push_back(tree.next_sibling(n));
     }
-    for (NodeId c = tree_->first_child(n); c != kNoNode;
-         c = tree_->next_sibling(c)) {
-      stack.push_back(c);
+    if (index_->root_weight(n) > time) {
+      frontier.push_back(n);
+    } else if (!tree.is_leaf(n)) {
+      stack.push_back(tree.first_child(n));
     }
   }
-  // DFS with an explicit stack reverses sibling order; normalize to
-  // pre-order for deterministic output.
-  std::vector<uint32_t> rank = tree_->PreOrderRanks();
-  std::sort(frontier.begin(), frontier.end(),
-            [&](NodeId a, NodeId b) { return rank[a] < rank[b]; });
   return frontier;
-}
-
-std::vector<NodeId> Sampler::LeavesUnder(NodeId node) const {
-  std::vector<NodeId> out;
-  tree_->PreOrder(
-      [&](NodeId n) {
-        if (tree_->is_leaf(n)) out.push_back(n);
-        return true;
-      },
-      node);
-  return out;
 }
 
 Result<std::vector<NodeId>> Sampler::SampleWithRespectToTime(
@@ -77,33 +66,49 @@ Result<std::vector<NodeId>> Sampler::SampleWithRespectToTime(
         rng->SampleWithoutReplacement(frontier.size(), remainder);
     for (uint64_t e : extra) ++quota[e];
   }
+  // Subtree sizes are index lookups, so the shortfall (quota a subtree
+  // cannot meet) is known before any leaf is drawn.
+  size_t shortfall = 0;
+  size_t under = 0;  // leaves below the frontier
+  for (size_t i = 0; i < frontier.size(); ++i) {
+    const size_t leaves = index_->leaf_count(frontier[i]);
+    under += leaves;
+    if (quota[i] > leaves) shortfall += quota[i] - leaves;
+  }
 
   std::vector<NodeId> out;
   out.reserve(k);
-  size_t shortfall = 0;
-  std::vector<NodeId> spare;  // unchosen leaves, for shortfall refills
+  // Only a shortfall needs the unchosen leaves: mark chosen positions
+  // over the frontier's concatenated leaf slices.
+  std::vector<bool> chosen(shortfall > 0 ? under : 0, false);
+  size_t base = 0;
   for (size_t i = 0; i < frontier.size(); ++i) {
-    std::vector<NodeId> pool = LeavesUnder(frontier[i]);
+    Span<const NodeId> pool = index_->LeavesUnder(frontier[i]);
     size_t take = std::min(quota[i], pool.size());
-    shortfall += quota[i] - take;
     std::vector<uint64_t> idx =
         rng->SampleWithoutReplacement(pool.size(), take);
-    std::vector<bool> chosen(pool.size(), false);
     for (uint64_t j : idx) {
       out.push_back(pool[j]);
-      chosen[j] = true;
+      if (shortfall > 0) chosen[base + j] = true;
     }
-    for (size_t j = 0; j < pool.size(); ++j) {
-      if (!chosen[j]) spare.push_back(pool[j]);
-    }
+    base += pool.size();
   }
   // Subtrees smaller than their quota: refill from the remaining pool
-  // so the caller still gets k species when possible.
+  // (unchosen leaves in frontier order) so the caller still gets k
+  // species when possible.
   if (shortfall > 0) {
-    if (spare.size() < shortfall) {
+    if (under - out.size() < shortfall) {
       return Status::InvalidArgument(
           StrFormat("only %zu leaves below the time-%g frontier, need %zu",
-                    out.size() + spare.size(), time, k));
+                    under, time, k));
+    }
+    std::vector<NodeId> spare;
+    spare.reserve(under - out.size());
+    base = 0;
+    for (NodeId f : frontier) {
+      for (NodeId leaf : index_->LeavesUnder(f)) {
+        if (!chosen[base++]) spare.push_back(leaf);
+      }
     }
     std::vector<uint64_t> idx =
         rng->SampleWithoutReplacement(spare.size(), shortfall);

@@ -135,6 +135,37 @@ TEST_F(BenchmarkManagerTest, PerfectDataGivesPerfectNj) {
   EXPECT_EQ(run->rf.distance, 0u);
 }
 
+TEST_F(BenchmarkManagerTest, BorrowedSubtreeIndexEvaluatesIdentically) {
+  // The session's managers borrow the bound tree's subtree index; the
+  // runs must equal those of a manager that builds its own.
+  SubtreeIndex index(&tree_);
+  BenchmarkManager borrowing(&tree_, &seqs_, &manager_->scheme());
+  borrowing.set_subtree_index(&index);
+  ASSERT_TRUE(borrowing.Init().ok());
+  auto nj = MakeNjAlgorithm();
+  SelectionSpec sel;
+  sel.kind = SelectionSpec::Kind::kWithRespectToTime;
+  sel.k = 12;
+  sel.time = 0.3;
+  for (uint64_t seed = 0; seed < 5; ++seed) {
+    Rng a(seed), b(seed);
+    auto x = manager_->Evaluate(*nj, sel, &a);
+    auto y = borrowing.Evaluate(*nj, sel, &b);
+    ASSERT_TRUE(x.ok() && y.ok());
+    EXPECT_TRUE(PhyloTree::Equal(x->reference, y->reference, 0.0,
+                                 /*ordered=*/true));
+    EXPECT_EQ(x->rf.distance, y->rf.distance);
+  }
+}
+
+TEST_F(BenchmarkManagerTest, SubtreeIndexOverAnotherTreeIsRejected) {
+  PhyloTree other = tree_;
+  SubtreeIndex index(&other);
+  BenchmarkManager manager(&tree_, &seqs_, &manager_->scheme());
+  manager.set_subtree_index(&index);
+  EXPECT_TRUE(manager.Init().IsInvalidArgument());
+}
+
 TEST(BenchmarkManagerInitTest, RequiresTreeAndInit) {
   std::map<std::string, std::string> empty;
   BenchmarkManager bad(nullptr, &empty);

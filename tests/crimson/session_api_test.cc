@@ -218,6 +218,78 @@ TEST(RerunTest, EachRerunReplaysItsOwnRequest) {
   }
 }
 
+TEST(RerunTest, CladeAndTimeSampleRowsReplayAsRecorded) {
+  // Clade answers come from the bound tree's subtree index and time
+  // samples from its leaf slices. Results, history rows and reruns
+  // must be byte-identical to those recorded from the implementation
+  // that walked subtrees per query (commit 1ad67aa) on the same
+  // seeded tree, session seed and ticket sequence. The cache is off,
+  // so each rerun recomputes under its own (fresh) ticket.
+  Rng tree_rng(2024);
+  BirthDeathOptions tree_options;
+  tree_options.n_leaves = 200;
+  tree_options.death_rate = 0.4;
+  tree_options.prune_extinct = false;
+  auto tree = SimulateBirthDeath(tree_options, &tree_rng);
+  ASSERT_TRUE(tree.ok());
+  CrimsonOptions opts;
+  opts.seed = 7;
+  opts.query_cache_bytes = 0;
+  auto opened = Crimson::Open(opts);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<Crimson> crimson = std::move(opened).value();
+  auto report = crimson->LoadNewick("bd", WriteNewick(*tree));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  struct Recorded {
+    QueryRequest request;
+    const char* result;
+    const char* params;
+    const char* summary;
+    const char* rerun;
+  };
+  const Recorded recorded[] = {
+      {QueryRequest(CladeQuery{{"S3", "S17"}}), "clade root=292 nodes=141",
+       "tree=bd&species=S3,S17", "clade root=292 nodes=141 leaves=71",
+       "clade root=292 nodes=141"},
+      {QueryRequest(CladeQuery{{"S5", "S6", "S140"}}),
+       "clade root=1 nodes=635", "tree=bd&species=S5,S6,S140",
+       "clade root=1 nodes=635 leaves=318", "clade root=1 nodes=635"},
+      {QueryRequest(CladeQuery{{"S42"}}), "clade root=430 nodes=1",
+       "tree=bd&species=S42", "clade root=430 nodes=1 leaves=1",
+       "clade root=430 nodes=1"},
+      {QueryRequest(SampleTimeQuery{6, 1.0}), "X38,S122,X14,X1,X0,S47",
+       "tree=bd&k=6&time=1", "sampled 6 species",
+       "S195,X70,S28,X1,X0,X116"},
+      {QueryRequest(SampleTimeQuery{9, 3.0}),
+       "X3,X115,X102,S83,X86,X59,X80,S43,S191", "tree=bd&k=9&time=3",
+       "sampled 9 species", "X3,X6,X87,S120,X50,X59,S91,S57,S148"},
+  };
+  std::vector<int64_t> ids;
+  for (const Recorded& r : recorded) {
+    auto result = crimson->Execute(report->ref, r.request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(RenderResult(*result), r.result);
+    auto history = crimson->QueryHistory(1);
+    ASSERT_TRUE(history.ok());
+    EXPECT_EQ((*history)[0].params, r.params);
+    EXPECT_EQ((*history)[0].summary, r.summary);
+    ids.push_back((*history)[0].query_id);
+  }
+  // Failures record no history row but still consume their ticket.
+  EXPECT_TRUE(crimson->Execute(report->ref, SampleTimeQuery{5, 1000.0})
+                  .status()
+                  .IsNotFound());
+  EXPECT_TRUE(crimson->Execute(report->ref, CladeQuery{{"S3", "nope"}})
+                  .status()
+                  .IsNotFound());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    auto rerun = crimson->RerunQuery(ids[i]);
+    ASSERT_TRUE(rerun.ok()) << rerun.status();
+    EXPECT_EQ(*rerun, recorded[i].rerun) << "query " << ids[i];
+  }
+}
+
 TEST(ExecuteBatchTest, BatchedIdenticalToSequentialForSameSeed) {
   // Session A executes the list batched on >= 4 workers; session B
   // (same seed) executes it sequentially, both with the result cache
