@@ -227,13 +227,17 @@ Result<std::unique_ptr<Crimson>> Crimson::Open(const CrimsonOptions& options) {
         obs::StageName(static_cast<obs::Stage>(i)).data()));
   }
   c->slow_queries_ = c->metrics_->GetCounter("query.slow");
+  c->load_latency_ = c->metrics_->GetHistogram("op.load.latency_us");
+  c->append_latency_ = c->metrics_->GetHistogram("op.append.latency_us");
   return c;
 }
 
 // -- loading ----------------------------------------------------------------
 
-Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report) {
+Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report,
+                                              const WallTimer& timer) {
   if (!report.ok()) return report.status();
+  load_latency_->Observe(static_cast<uint64_t>(timer.ElapsedMicros()));
   SessionLoadReport out;
   static_cast<LoadReport&>(out) = *report;
   // Loads can attach sequences to an existing tree (e.g. LoadNexus
@@ -246,33 +250,38 @@ Result<SessionLoadReport> Crimson::FinishLoad(Result<LoadReport> report) {
 Result<SessionLoadReport> Crimson::LoadNewick(const std::string& name,
                                               const std::string& newick,
                                               LoadMode mode) {
+  WallTimer timer;
   Result<LoadReport> report = MutateTree(
       name, [&] { return Repos()->loader->LoadNewick(name, newick, mode); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(std::move(report), timer);
 }
 
 Result<SessionLoadReport> Crimson::LoadNexus(const std::string& name,
                                              const std::string& nexus,
                                              LoadMode mode) {
+  WallTimer timer;
   Result<LoadReport> report = MutateTree(
       name, [&] { return Repos()->loader->LoadNexus(name, nexus, mode); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(std::move(report), timer);
 }
 
 Result<SessionLoadReport> Crimson::LoadTree(const std::string& name,
                                             const PhyloTree& tree) {
+  WallTimer timer;
   Result<LoadReport> report = MutateTree(
       name, [&] { return Repos()->loader->LoadTree(name, tree); });
-  return FinishLoad(std::move(report));
+  return FinishLoad(std::move(report), timer);
 }
 
 Result<LoadReport> Crimson::AppendSpeciesData(
     const std::string& tree_name,
     const std::map<std::string, std::string>& sequences) {
+  WallTimer timer;
   Result<LoadReport> report = MutateTree(tree_name, [&] {
     return Repos()->loader->AppendSpecies(tree_name, sequences);
   });
   if (report.ok()) {
+    append_latency_->Observe(static_cast<uint64_t>(timer.ElapsedMicros()));
     // The tree's sequence map changed: drop any cached evaluation
     // state so the next experiment rebuilds it from storage.
     InvalidateEvalState(tree_name);

@@ -46,6 +46,7 @@
 #include "common/result.h"
 #include "common/span.h"
 #include "common/thread_pool.h"
+#include "common/timer.h"
 #include "crimson/benchmark_manager.h"
 #include "crimson/data_loader.h"
 #include "crimson/experiment_spec.h"
@@ -376,7 +377,10 @@ class Crimson {
   void FinishQueryTrace(obs::TraceContext* ctx, const QueryRequest& request,
                         std::string_view params,
                         const Result<QueryResult>& result) const;
-  Result<SessionLoadReport> FinishLoad(Result<LoadReport> report);
+  /// Records a successful load's store time (started at `timer`, bind
+  /// excluded) into op.load.latency_us, then binds the loaded tree.
+  Result<SessionLoadReport> FinishLoad(Result<LoadReport> report,
+                                       const WallTimer& timer);
   /// One generation of repository handles over the database. Swapped
   /// wholesale (under repos_mu_) when a failed durable write forces a
   /// reopen; readers that grabbed the previous generation finish on it
@@ -451,6 +455,8 @@ class Crimson {
   KindCells kind_cells_[kQueryKindCount];
   obs::Histogram* stage_hists_[obs::kStageCount] = {};  // query.stage.<s>_us
   obs::Counter* slow_queries_ = nullptr;                // query.slow
+  obs::Histogram* load_latency_ = nullptr;              // op.load.latency_us
+  obs::Histogram* append_latency_ = nullptr;            // op.append.latency_us
 
   /// Guards the repos_ pointer swap/copy only (reopen vs. readers).
   mutable std::mutex repos_mu_;

@@ -1,5 +1,8 @@
 #include "crimson/data_loader.h"
 
+#include <string_view>
+#include <unordered_map>
+
 #include "common/log.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -109,18 +112,34 @@ Result<LoadReport> DataLoader::AppendSpecies(
   report.tree_id = info.tree_id;
   report.tree_name = tree_name;
   // Resolve every species first (errors surface before any write),
-  // then store the whole batch through the bulk path.
+  // then store the whole batch through the bulk path. Resolution runs
+  // over the stored tree in memory: a species names the last node in
+  // arena order carrying exactly that name, internal and unnamed nodes
+  // included (DESIGN.md "The bulk-load ingest path").
+  CRIMSON_ASSIGN_OR_RETURN(PhyloTree tree, trees_->LoadTree(info.tree_id));
+  std::unordered_map<std::string_view, size_t> position;  // in map order
+  position.reserve(sequences.size());
+  for (const auto& entry : sequences) {
+    position.emplace(entry.first, position.size());
+  }
+  std::vector<NodeId> nodes(sequences.size(), kNoNode);
+  for (NodeId n = 0; n < tree.size(); ++n) {
+    auto it = position.find(tree.name(n));
+    if (it != position.end()) nodes[it->second] = n;
+  }
   std::vector<SpeciesRepository::SpeciesEntry> entries;
   entries.reserve(sequences.size());
   uint64_t resolved = 0;
   for (const auto& [species, seq] : sequences) {
-    Result<NodeId> node = trees_->FindNodeByName(info.tree_id, species);
-    if (!node.ok()) {
+    const NodeId node = nodes[resolved];
+    if (node == kNoNode) {
       CRIMSON_LOG(kError) << "append species: '" << species
                           << "' not found in tree '" << tree_name << "'";
-      return node.status();
+      return Status::NotFound(
+          StrFormat("species '%s' not in tree %lld", species.c_str(),
+                    static_cast<long long>(info.tree_id)));
     }
-    entries.push_back({species, *node, seq});
+    entries.push_back({species, node, seq});
     ++resolved;
     if (progress && resolved % 1024 == 0) progress("resolving", resolved);
   }

@@ -61,8 +61,10 @@ class DataLoader {
   Result<LoadReport> LoadTree(const std::string& name, const PhyloTree& tree,
                               LoadProgressFn progress = nullptr);
 
-  /// Appends sequences to an existing tree; every species must resolve
-  /// to a leaf of that tree.
+  /// Appends sequences to an existing tree. Each species resolves to
+  /// the last node in arena order with exactly that name (internal and
+  /// unnamed nodes included); a name matching no node fails with
+  /// NotFound before anything is written.
   Result<LoadReport> AppendSpecies(
       const std::string& tree_name,
       const std::map<std::string, std::string>& sequences,

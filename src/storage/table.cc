@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/string_util.h"
@@ -120,6 +121,56 @@ Result<RecordId> Table::Insert(const Row& row) {
   return rid;
 }
 
+namespace {
+
+/// The first 8 key bytes, big-endian and zero-padded: comparing two
+/// prefixes agrees with comparing the keys whenever the prefixes differ.
+uint64_t KeyPrefix(const std::string& key) {
+  unsigned char buf[8] = {};
+  memcpy(buf, key.data(), std::min<size_t>(key.size(), 8));
+  return DecodeU64Key(reinterpret_cast<const char*>(buf));
+}
+
+/// Row ordinals in the order a bulk-built index lays them out: key
+/// ascending, ties in reverse row order. Keys that already arrive
+/// non-decreasing (arena-ordered node keys, one tree id per batch) only
+/// have their tie runs reversed; anything else is sorted on the 8-byte
+/// prefix, comparing whole keys only when two prefixes are equal.
+std::vector<uint32_t> BulkLoadOrder(const std::vector<std::string>& k) {
+  const size_t n = k.size();
+  std::vector<uint32_t> order(n);
+  if (std::is_sorted(k.begin(), k.end())) {
+    for (size_t lo = 0; lo < n;) {
+      size_t hi = lo + 1;
+      while (hi < n && k[hi] == k[lo]) ++hi;
+      for (size_t r = lo; r < hi; ++r) {
+        order[r] = static_cast<uint32_t>(hi - 1 - (r - lo));
+      }
+      lo = hi;
+    }
+    return order;
+  }
+  struct Entry {
+    uint64_t prefix;
+    uint32_t row;
+  };
+  std::vector<Entry> entries(n);
+  for (size_t r = 0; r < n; ++r) {
+    entries[r] = {KeyPrefix(k[r]), static_cast<uint32_t>(r)};
+  }
+  std::sort(entries.begin(), entries.end(),
+            [&k](const Entry& a, const Entry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              int c = k[a.row].compare(k[b.row]);
+              if (c != 0) return c < 0;
+              return a.row > b.row;
+            });
+  for (size_t r = 0; r < n; ++r) order[r] = entries[r].row;
+  return order;
+}
+
+}  // namespace
+
 Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
   CRIMSON_RETURN_IF_ERROR(pool_->RequireWritable());
   const size_t n_indexes = def_.indexes.size();
@@ -138,13 +189,12 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
     }
   }
 
-  // Sort row ordinals per index (cheap to swap; keys stay put). Tie
-  // order among duplicate keys is chosen so the final index is
-  // byte-identical to per-row Insert, which *prepends* to a duplicate
-  // run (leaf insert at LowerBound): a bulk-built index lays ties out
-  // directly, so they go in reverse row order; ordered inserts into an
-  // existing index each prepend, so feeding ties in row order ends up
-  // reversed on its own.
+  // Order row ordinals per index (keys stay put). Tie order among
+  // duplicate keys follows per-row Insert, which *prepends* to a
+  // duplicate run within a leaf (leaf insert at LowerBound): a
+  // bulk-built index lays ties out directly, so they go in reverse row
+  // order; ordered inserts into an existing index each prepend, so
+  // feeding ties in row order ends up reversed on its own.
   std::vector<bool> index_empty(n_indexes);
   for (size_t i = 0; i < n_indexes; ++i) {
     CRIMSON_ASSIGN_OR_RETURN(bool empty, index_trees_[i]->Empty());
@@ -153,17 +203,14 @@ Result<std::vector<RecordId>> Table::BulkAppend(const std::vector<Row>& rows) {
   std::vector<std::vector<uint32_t>> orders(n_indexes);
   for (size_t i = 0; i < n_indexes; ++i) {
     std::vector<uint32_t>& order = orders[i];
-    order.resize(rows.size());
-    for (size_t r = 0; r < rows.size(); ++r) {
-      order[r] = static_cast<uint32_t>(r);
-    }
     const std::vector<std::string>& k = keys[i];
     if (index_empty[i]) {
-      std::sort(order.begin(), order.end(), [&k](uint32_t a, uint32_t b) {
-        if (k[a] != k[b]) return k[a] < k[b];
-        return a > b;
-      });
+      order = BulkLoadOrder(k);
     } else {
+      order.resize(rows.size());
+      for (size_t r = 0; r < rows.size(); ++r) {
+        order[r] = static_cast<uint32_t>(r);
+      }
       std::stable_sort(order.begin(), order.end(),
                        [&k](uint32_t a, uint32_t b) { return k[a] < k[b]; });
     }

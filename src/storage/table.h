@@ -60,14 +60,15 @@ class Table {
   /// fail with AlreadyExists before any mutation of the indexes.
   Result<RecordId> Insert(const Row& row);
 
-  /// Inserts many rows at once, maintaining every index. The result is
-  /// byte-identical to calling Insert per row (same scan/lookup
-  /// results, same duplicate-key order), but rows are appended to the
-  /// heap in one run and each index is fed one sorted key run: an
-  /// empty index is built bottom-up via BTree::BulkLoad (no page
-  /// splits), a non-empty one takes ordered inserts. Unique violations
-  /// -- within the batch or against existing rows -- fail before any
-  /// mutation.
+  /// Inserts many rows at once, maintaining every index. Scan and
+  /// lookup results equal calling Insert per row, but rows are
+  /// appended to the heap in one run and each index is fed one sorted
+  /// key run: an empty index is built bottom-up via BTree::BulkLoad
+  /// (no page splits), a non-empty one takes ordered inserts. Equal
+  /// keys go into an empty index in reverse row order -- Insert's
+  /// order too, as long as the duplicate run fits in one leaf. Unique
+  /// violations -- within the batch or against existing rows -- fail
+  /// before any mutation.
   Result<std::vector<RecordId>> BulkAppend(const std::vector<Row>& rows);
 
   /// Reads one row by id.

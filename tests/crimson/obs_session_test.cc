@@ -90,6 +90,31 @@ TEST(ObsSessionTest, SnapshotPopulatesEveryLayer) {
   EXPECT_EQ(snap.counters.count("crack.stores"), 1u);
 }
 
+TEST(ObsSessionTest, LoadsAndAppendsAreTimed) {
+  // -1 = histogram missing from the snapshot.
+  auto observations = [](const obs::MetricsSnapshot& snap, const char* name) {
+    const obs::HistogramSnapshot* h = snap.histogram(name);
+    return h == nullptr ? int64_t{-1} : static_cast<int64_t>(h->count);
+  };
+  auto crimson = OpenSession();
+  obs::MetricsSnapshot before = crimson->SnapshotMetrics();
+  EXPECT_EQ(observations(before, "op.load.latency_us"), 0);
+  EXPECT_EQ(observations(before, "op.append.latency_us"), 0);
+
+  auto report = crimson->LoadNewick("fig1", kFig1Newick);
+  ASSERT_TRUE(report.ok()) << report.status();
+  auto append = crimson->AppendSpeciesData(
+      "fig1", {{"Bha", "ACGT"}, {"Lla", "ACGA"}, {"Syn", "TTTT"}});
+  ASSERT_TRUE(append.ok()) << append.status();
+  // Failed operations are not observed.
+  EXPECT_FALSE(crimson->AppendSpeciesData("fig1", {{"Nope", "A"}}).ok());
+  EXPECT_FALSE(crimson->LoadNewick("bad", "((A,B);").ok());
+
+  obs::MetricsSnapshot snap = crimson->SnapshotMetrics();
+  EXPECT_EQ(observations(snap, "op.load.latency_us"), 1);
+  EXPECT_EQ(observations(snap, "op.append.latency_us"), 1);
+}
+
 TEST(ObsSessionTest, ResultBytesGrowWithResults) {
   auto crimson = OpenSession();
   auto report = crimson->LoadNewick("fig1", kFig1Newick);

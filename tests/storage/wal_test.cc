@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "fault_injection.h"
 #include "storage/recovery.h"
 
@@ -23,6 +24,69 @@ TEST(Crc32Test, MatchesKnownVectors) {
   // IEEE CRC32 of "123456789" is the classic check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// The byte-at-a-time table loop Crc32 used before it folded in eight
+// bytes per step; kept here as the reference.
+uint32_t BytewiseCrc32(const char* data, size_t n, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c = table[(c ^ static_cast<uint8_t>(data[i])) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.Next() & 0xFF);
+  return out;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // 8 spare bytes so every start offset 0..7 can read the full length.
+  const std::string buf = RandomBytes(kPageSize + 8, 11);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(kPageSize);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x12345678u}) {
+        ASSERT_EQ(Crc32(buf.data() + offset, n, seed),
+                  BytewiseCrc32(buf.data() + offset, n, seed))
+            << "offset " << offset << " length " << n << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsEqualOneShot) {
+  const std::string buf = RandomBytes(kPageSize, 12);
+  const uint32_t whole = BytewiseCrc32(buf.data(), buf.size(), 0);
+  ASSERT_EQ(Crc32(buf.data(), buf.size()), whole);
+  // Split points on and off the 8-byte stride.
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{13},
+                     size_t{4096}, size_t{8191}, size_t{kPageSize}}) {
+    uint32_t head = Crc32(buf.data(), cut);
+    EXPECT_EQ(Crc32(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+  // Three pieces with unaligned starts.
+  uint32_t c = Crc32(buf.data(), 5);
+  c = Crc32(buf.data() + 5, 1000, c);
+  c = Crc32(buf.data() + 1005, buf.size() - 1005, c);
+  EXPECT_EQ(c, whole);
 }
 
 class WalTest : public ::testing::Test {
