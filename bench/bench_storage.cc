@@ -105,7 +105,7 @@ void BM_IndexRangeScan(benchmark::State& state) {
 void BM_PointLookupVsPoolSize(benchmark::State& state) {
   // Fixed 200k-row table; buffer pool from ample to starved.
   auto db = BuildDb(200000, static_cast<size_t>(state.range(0)));
-  db->db->buffer_pool()->ResetStats();
+  const BufferPoolStats before = db->db->stats();
   Rng rng(14);
   for (auto _ : state) {
     int64_t id = static_cast<int64_t>(rng.Uniform(200000));
@@ -113,11 +113,12 @@ void BM_PointLookupVsPoolSize(benchmark::State& state) {
     if (!hits.ok()) state.SkipWithError("lookup failed");
     benchmark::DoNotOptimize(hits);
   }
-  const BufferPoolStats& stats = db->db->stats();
-  double total = static_cast<double>(stats.hits + stats.misses);
+  const BufferPoolStats after = db->db->stats();
+  const uint64_t hits = after.hits - before.hits;
+  double total = static_cast<double>(hits + after.misses - before.misses);
   state.counters["pool_pages"] = static_cast<double>(state.range(0));
   state.counters["hit_rate"] =
-      total > 0 ? static_cast<double>(stats.hits) / total : 0;
+      total > 0 ? static_cast<double>(hits) / total : 0;
 }
 
 BENCHMARK(BM_IndexPointLookup)->Arg(10000)->Arg(100000)->Arg(400000);

@@ -81,7 +81,8 @@ double RunMode(const std::string& dir, bool group, int threads,
   WalOptions opts;
   opts.segment_bytes = 256ull << 20;  // no rotation mid-bench
   opts.group_window_us = static_cast<uint64_t>(window_us);
-  auto wal_or = Wal::Open(dir + "/wal", DelayedEnv(delay_us), opts);
+  obs::MetricsRegistry metrics;
+  auto wal_or = Wal::Open(dir + "/wal", DelayedEnv(delay_us), opts, &metrics);
   if (!wal_or.ok()) {
     fprintf(stderr, "wal open failed: %s\n",
             wal_or.status().ToString().c_str());

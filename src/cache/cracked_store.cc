@@ -30,8 +30,7 @@ Result<std::map<std::string, std::string>> MapSequenceSource::GetBatch(
 }
 
 CrackedSequenceStore::CrackedSequenceStore(std::vector<std::string> names,
-                                           size_t min_piece, FetchFn fetch,
-                                           obs::MetricsRegistry* metrics)
+                                           size_t min_piece, FetchFn fetch)
     : names_(std::move(names)),
       min_piece_(min_piece == 0 ? 1 : min_piece),
       fetch_(std::move(fetch)),
@@ -39,12 +38,6 @@ CrackedSequenceStore::CrackedSequenceStore(std::vector<std::string> names,
       state_(names_.size(), kUnknown) {
   if (!names_.empty()) {
     pieces_.emplace(0, Piece{names_.size(), false});
-  }
-  if (metrics != nullptr) {
-    fetches_ctr_ = metrics->GetCounter("crack.fetches");
-    batches_ctr_ = metrics->GetCounter("crack.batches");
-    piece_hits_ctr_ = metrics->GetCounter("crack.piece_hits");
-    sequences_loaded_ctr_ = metrics->GetCounter("crack.sequences_loaded");
   }
 }
 
@@ -82,7 +75,6 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
     auto fetched = fetch_(slice);
     if (!fetched.ok()) return fetched.status();
     ++fetches_;
-    if (fetches_ctr_) fetches_ctr_->Increment();
     for (size_t ord = cut_lo; ord < cut_hi; ++ord) {
       auto fit = fetched->find(names_[ord]);
       if (fit == fetched->end()) {
@@ -92,7 +84,6 @@ Status CrackedSequenceStore::EnsureLoadedLocked(size_t lo, size_t hi) const {
         state_[ord] = kHave;
       }
       ++sequences_loaded_;
-      if (sequences_loaded_ctr_) sequences_loaded_ctr_->Increment();
     }
     // Split: [begin, cut_lo) stays cold, [cut_lo, cut_hi) is hot,
     // [cut_hi, end) stays cold.
@@ -115,7 +106,6 @@ Result<std::map<std::string, std::string>> CrackedSequenceStore::GetBatch(
     const std::vector<std::string>& names) const {
   std::lock_guard<std::mutex> lock(mu_);
   ++batches_;
-  if (batches_ctr_) batches_ctr_->Increment();
   // Resolve names to ordinals (the domain is sorted).
   std::vector<size_t> ordinals;
   ordinals.reserve(names.size());
@@ -141,7 +131,6 @@ Result<std::map<std::string, std::string>> CrackedSequenceStore::GetBatch(
   }
   if (fetches_ == fetches_before) {
     ++piece_hits_;
-    if (piece_hits_ctr_) piece_hits_ctr_->Increment();
   }
   // Assemble in request order so the first missing name reported
   // matches the eager path's error exactly.

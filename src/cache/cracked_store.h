@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "common/result.h"
-#include "obs/metrics.h"
 
 namespace crimson {
 namespace cache {
@@ -87,12 +86,9 @@ class CrackedSequenceStore final : public SequenceSource {
 
   /// `names` is the ordinal domain and must be sorted and unique.
   /// `min_piece` is the cracking granularity: fetched slices are
-  /// aligned out to multiples of it (0 behaves as 1). `metrics`
-  /// (optional) receives cumulative session-wide crack.* counter
-  /// mirrors -- unlike stats(), they survive this store being dropped
-  /// with its EvalState.
+  /// aligned out to multiples of it (0 behaves as 1).
   CrackedSequenceStore(std::vector<std::string> names, size_t min_piece,
-                       FetchFn fetch, obs::MetricsRegistry* metrics = nullptr);
+                       FetchFn fetch);
 
   Result<std::map<std::string, std::string>> GetBatch(
       const std::vector<std::string>& names) const override;
@@ -132,11 +128,6 @@ class CrackedSequenceStore final : public SequenceSource {
   mutable uint64_t fetches_ = 0;
   mutable uint64_t batches_ = 0;
   mutable uint64_t piece_hits_ = 0;
-  /// Telemetry mirrors (null without a registry).
-  obs::Counter* fetches_ctr_ = nullptr;
-  obs::Counter* batches_ctr_ = nullptr;
-  obs::Counter* piece_hits_ctr_ = nullptr;
-  obs::Counter* sequences_loaded_ctr_ = nullptr;
 };
 
 }  // namespace cache

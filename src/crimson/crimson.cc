@@ -800,7 +800,7 @@ Result<std::shared_ptr<const Crimson::EvalState>> Crimson::EvalStateFor(
     auto state = std::make_shared<EvalState>(
         handle, std::make_unique<cache::CrackedSequenceStore>(
                     std::move(domain), options_.crack_min_piece,
-                    std::move(fetch), metrics_.get()));
+                    std::move(fetch)));
     CRIMSON_RETURN_IF_ERROR(state->manager.Init());
     std::lock_guard<std::mutex> lock(eval_mu_);
     if (eval_generation_[tree.id()] != generation) {
@@ -823,9 +823,9 @@ Result<ExperimentReport> Crimson::RunExperimentJobs(
       jobs, Result<BenchmarkRun>(Status::Internal("run not executed")));
   WallTimer timer;
   // Tickets were assigned to jobs in spec order before dispatch, so
-  // every replicate draws exactly what it would draw under the
-  // sequential legacy Benchmark loop -- any worker count produces
-  // byte-identical runs.
+  // every replicate draws exactly what it would draw in a sequential
+  // loop over the jobs -- any worker count produces byte-identical
+  // runs.
   pool_->ParallelFor(jobs, [&](size_t i) {
     const size_t algorithm = i / per_algorithm;
     const size_t selection = (i % per_algorithm) / spec.replicates;
@@ -1012,47 +1012,6 @@ Crimson::ListExperiments() const {
   return read.repos->experiments->ListExperiments();
 }
 
-// -- benchmarking (legacy wrapper) ------------------------------------------
-
-Result<BenchmarkRun> Crimson::Benchmark(
-    const std::string& tree_name, const ReconstructionAlgorithm& algorithm,
-    const SelectionSpec& selection, bool compute_triplets) {
-  CRIMSON_ASSIGN_OR_RETURN(TreeRef ref, OpenTree(tree_name));
-  ExperimentSpec spec;
-  spec.algorithms = {algorithm.name()};
-  spec.selections = {selection};
-  spec.replicates = 1;
-  spec.compute_triplets = compute_triplets;
-  const uint64_t base = ticket_.fetch_add(1, std::memory_order_relaxed);
-  Result<ExperimentReport> ran = Status::Internal("benchmark not executed");
-  for (int attempt = 0; attempt < kMaxEvalRetries; ++attempt) {
-    CRIMSON_ASSIGN_OR_RETURN(std::shared_ptr<const EvalState> eval,
-                             EvalStateFor(ref));
-    ran = RunExperimentJobs(*eval, spec, {&algorithm}, options_.seed, base);
-    if (ran.ok() || !ran.status().IsUnavailable()) break;
-  }
-  if (!ran.ok()) return ran.status();
-  ExperimentReport report = std::move(*ran);
-  BenchmarkRun run = std::move(report.runs[0]);
-  // History row: the pre-Experiment-API keys plus the encoded spec, so
-  // the entry replays through the experiment path (the algorithm name
-  // must be registered for the replay to resolve it). Benchmark takes
-  // a raw algorithm reference, so its name never went through spec
-  // validation: if it (or a species list) cannot be encoded, record
-  // the legacy keys only rather than a corrupt spec.
-  std::string params =
-      StrFormat("tree=%s&algorithm=%s&k=%zu", tree_name.c_str(),
-                run.algorithm.c_str(), run.sample_size);
-  if (ValidateExperimentSpec(spec).ok()) {
-    params += "&spec=" + EncodeExperimentSpec(spec);
-  }
-  RecordHistory({{0, 0, "benchmark", std::move(params),
-                  StrFormat("rf=%zu/%zu normalized=%.4f", run.rf.distance,
-                            run.rf.splits_a + run.rf.splits_b,
-                            run.rf.normalized)}});
-  return run;
-}
-
 // -- query history ----------------------------------------------------------
 
 Result<std::vector<QueryRepository::Entry>> Crimson::QueryHistory(
@@ -1218,16 +1177,20 @@ cache::CacheStats Crimson::GetCacheStats() const {
 }
 
 obs::MetricsSnapshot Crimson::SnapshotMetrics() const {
-  // Refresh the derived gauges first: live cracked-store aggregates
-  // (a walk over the current evaluation states -- unlike the crack.*
-  // counters, which are cumulative across state drops) and the MVCC
-  // chain levels. Counters need no refresh; they are written at the
-  // event sites.
+  // Refresh the derived gauges first: the cracked-store aggregates of
+  // the live evaluation states (a store's counters go with it when a
+  // write drops its state) and the MVCC chain levels. Counters need no
+  // refresh; they are written at the event sites.
   cache::CacheStats cs = GetCacheStats();
   metrics_->GetGauge("crack.stores")->Set(cs.crack_stores);
   metrics_->GetGauge("crack.pieces")->Set(cs.crack_pieces);
   metrics_->GetGauge("crack.loaded_pieces")->Set(cs.crack_loaded_pieces);
+  metrics_->GetGauge("crack.sequences_loaded")
+      ->Set(cs.crack_sequences_loaded);
   metrics_->GetGauge("crack.sequences_total")->Set(cs.crack_sequences_total);
+  metrics_->GetGauge("crack.fetches")->Set(cs.crack_fetches);
+  metrics_->GetGauge("crack.batches")->Set(cs.crack_batches);
+  metrics_->GetGauge("crack.piece_hits")->Set(cs.crack_piece_hits);
   PageVersions::Stats ps = db_->page_version_stats();
   metrics_->GetGauge("pages.live_versions")->Set(ps.live_versions);
   metrics_->GetGauge("pages.active_snapshots")->Set(ps.active_snapshots);

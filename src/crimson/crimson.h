@@ -229,19 +229,6 @@ class Crimson {
   [[nodiscard]] Result<std::vector<ExperimentRepository::ExperimentRow>>
   ListExperiments() const;
 
-  // -- benchmarking (legacy wrapper over the Experiment API) ---------------
-
-  /// Evaluates a reconstruction algorithm against a loaded gold tree;
-  /// sequences come from the species repository. `compute_triplets`
-  /// adds the O(k^3) triplet-distance score; pass false for
-  /// RF-only sweeps. Thin wrapper over a 1-replicate, 1-cell
-  /// experiment (same cached evaluation state and RNG ticketing; no
-  /// experiment row is persisted). New code should build an
-  /// ExperimentSpec and call RunExperiment.
-  [[nodiscard]] Result<BenchmarkRun> Benchmark(
-      const std::string& tree_name, const ReconstructionAlgorithm& algorithm,
-      const SelectionSpec& selection, bool compute_triplets = true);
-
   // -- query history (paper §2.1 Query Repository) -------------------------
 
   [[nodiscard]] Result<std::vector<QueryRepository::Entry>> QueryHistory(
@@ -279,14 +266,15 @@ class Crimson {
   cache::CacheStats GetCacheStats() const;
 
   /// The session's metrics registry. Every layer under this session --
-  /// storage engine, result cache, cracked stores, query dispatch, and
-  /// any server front door -- writes into it. Valid for the session's
-  /// lifetime; callers may resolve and cache cells.
+  /// storage engine, result cache, query dispatch, and any server front
+  /// door -- counts into it. Valid for the session's lifetime; callers
+  /// may resolve and cache cells.
   obs::MetricsRegistry* metrics() const { return metrics_.get(); }
 
   /// Point-in-time copy of every session metric, with the derived
-  /// gauges (live cracked-store aggregates, MVCC chain levels)
-  /// refreshed first. This is what the wire stats frame carries.
+  /// gauges refreshed first: the eight crack.* aggregates over the live
+  /// cracked stores (GetCacheStats) and the MVCC chain levels. This is
+  /// exactly what the wire stats frame carries.
   obs::MetricsSnapshot SnapshotMetrics() const;
 
   Database* database() { return db_.get(); }

@@ -93,19 +93,6 @@ Status CrimsonServer::Shutdown() {
   return service_->Checkpoint();
 }
 
-ServerStats CrimsonServer::stats() const {
-  ServerStats s;
-  s.connections_accepted = connections_accepted_->value();
-  s.connections_rejected = connections_rejected_->value();
-  s.frames_received = frames_received_->value();
-  s.queries_executed = queries_executed_->value();
-  s.batches_executed = batches_executed_->value();
-  s.queries_rejected_unavailable = queries_rejected_->value();
-  s.protocol_errors = protocol_errors_->value();
-  s.retry_afters_sent = retry_afters_->value();
-  return s;
-}
-
 void CrimsonServer::JoinConnections(bool all) {
   std::vector<std::unique_ptr<Connection>> reaped;
   {
@@ -425,7 +412,7 @@ void CrimsonServer::HandleFrame(const Frame& frame, std::string* out) {
         return;
       }
       std::string payload;
-      EncodeSessionStats(&payload, service_->Stats());
+      EncodeMetricsSnapshot(&payload, service_->SnapshotMetrics());
       AppendFrame(out, MessageType::kStatsOk, payload);
       return;
     }

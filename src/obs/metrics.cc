@@ -150,12 +150,5 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   return out;
 }
 
-MetricsRegistry& MetricsRegistry::Default() {
-  // Leaked singleton: instrumented components may log through it
-  // during static destruction.
-  static MetricsRegistry* registry = new MetricsRegistry;
-  return *registry;
-}
-
 }  // namespace obs
 }  // namespace crimson

@@ -18,8 +18,9 @@
 // Scoping: every Crimson session owns one registry (its storage
 // engine, cache, and any server front door all write into it), so
 // concurrent sessions in one process -- the unit-test norm -- never
-// contaminate each other's counters. Components constructed without a
-// registry fall back to the process-wide MetricsRegistry::Default().
+// contaminate each other's counters. A component constructed without
+// a registry (a bare BufferPool, QueryCache or Database) owns a private
+// one, so its counters still have exactly one home.
 //
 // The Noop* twins mirror the update API with empty inline bodies;
 // bench_metrics compiles its hot loop against both to gate the
@@ -149,10 +150,6 @@ class MetricsRegistry {
                           const std::vector<uint64_t>& bounds = {});
 
   MetricsSnapshot Snapshot() const;
-
-  /// The process-wide registry, for components constructed without an
-  /// explicit one.
-  static MetricsRegistry& Default();
 
  private:
   struct Cell {

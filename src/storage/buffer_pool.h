@@ -10,7 +10,7 @@
 //
 // Concurrency (see DESIGN.md "Concurrency"):
 //  - The frame table (page_table_, LRU list, free list, pin counts,
-//    dirty bits, stats) is guarded by an internal mutex held only for
+//    dirty bits) is guarded by an internal mutex held only for
 //    short map/list operations.
 //  - Every frame carries a reader-writer latch. Fetch(id, kRead) pins
 //    the frame and holds the latch shared; Fetch(id, kWrite) (and New)
@@ -140,7 +140,8 @@ class PageGuard {
   std::shared_ptr<const std::vector<char>> snapshot_;
 };
 
-/// Cache statistics (cumulative).
+/// Cache statistics (cumulative): a read-back of the pool's
+/// storage.pool.* registry counters.
 struct BufferPoolStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -166,9 +167,9 @@ class BufferPool {
   /// (durability off) and must outlive the pool. versions may be null
   /// (no snapshot reads: every Fetch sees live frames) and must
   /// outlive the pool; with it attached, the pool is the MVCC capture
-  /// and resolution point (see page_versions.h). `metrics` (optional)
-  /// receives cumulative storage.pool.* counter mirrors -- stats() and
-  /// ResetStats() keep their per-pool semantics regardless.
+  /// and resolution point (see page_versions.h). The pool counts into
+  /// the storage.pool.* counters of `metrics`, or of a private registry
+  /// when it is null; `metrics` must outlive the pool.
   BufferPool(Pager* pager, size_t capacity, WalContext* wal_ctx = nullptr,
              PageVersions* versions = nullptr,
              obs::MetricsRegistry* metrics = nullptr);
@@ -217,7 +218,6 @@ class BufferPool {
   Status DiscardTxnPages();
 
   BufferPoolStats stats() const;
-  void ResetStats();
   size_t capacity() const { return frames_.size(); }
   Pager* pager() { return pager_; }
 
@@ -267,8 +267,8 @@ class BufferPool {
   PageVersions* versions_;
   std::vector<Frame> frames_;
 
-  /// Guards the frame table: page_table_, lru_, free_frames_, frame
-  /// metadata (pin counts, dirty/valid flags), and stats_. Held for
+  /// Guards the frame table: page_table_, lru_, free_frames_ and frame
+  /// metadata (pin counts, dirty/valid flags). Held for
   /// map/list operations and for the write-back of a *dirty* eviction
   /// victim (a deliberate simplification: releasing mu_ mid-eviction
   /// would need an "evicting" frame state and a re-check; dirty
@@ -284,13 +284,11 @@ class BufferPool {
   std::unordered_map<PageId, size_t> page_table_;
   std::list<size_t> lru_;        // front = most recent
   std::vector<size_t> free_frames_;
-  BufferPoolStats stats_;
-  /// Telemetry mirrors (null without a registry); bumped under mu_
-  /// alongside stats_, never reset.
-  obs::Counter* hits_ctr_ = nullptr;
-  obs::Counter* misses_ctr_ = nullptr;
-  obs::Counter* evictions_ctr_ = nullptr;
-  obs::Counter* writebacks_ctr_ = nullptr;
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* evictions_;
+  obs::Counter* writebacks_;
 };
 
 }  // namespace crimson

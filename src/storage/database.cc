@@ -29,6 +29,13 @@ void Database::ReadTxn::End() {
   token_ = 0;
 }
 
+Database::Database(obs::MetricsRegistry* metrics)
+    : owned_metrics_(metrics == nullptr
+                         ? std::make_unique<obs::MetricsRegistry>()
+                         : nullptr),
+      metrics_(metrics == nullptr ? owned_metrics_.get() : metrics),
+      versions_(metrics_) {}
+
 Result<std::unique_ptr<Database>> Database::Open(
     const std::string& path, const DatabaseOptions& options) {
   CRIMSON_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
@@ -48,7 +55,7 @@ Result<std::unique_ptr<Database>> Database::OpenInMemory(
 Result<std::unique_ptr<Database>> Database::Build(
     std::unique_ptr<File> file, const DatabaseOptions& options,
     const std::string& path) {
-  auto db = std::unique_ptr<Database>(new Database());
+  auto db = std::unique_ptr<Database>(new Database(options.metrics));
   db->options_ = options;
   const bool want_wal =
       options.durability != Durability::kOff && !path.empty();
@@ -66,8 +73,8 @@ Result<std::unique_ptr<Database>> Database::Build(
     if (want_wal) {
       WalOptions wal_opts;
       wal_opts.segment_bytes = options.wal_segment_bytes;
-      CRIMSON_ASSIGN_OR_RETURN(db->wal_,
-                               Wal::Open(wal_base, options.env, wal_opts));
+      CRIMSON_ASSIGN_OR_RETURN(
+          db->wal_, Wal::Open(wal_base, options.env, wal_opts, db->metrics_));
       db->wal_ctx_.wal = db->wal_.get();
     } else if (has_wal) {
       // The recovered state is in the database file (synced by the
@@ -78,13 +85,9 @@ Result<std::unique_ptr<Database>> Database::Build(
   }
   CRIMSON_ASSIGN_OR_RETURN(
       db->pager_, Pager::Open(std::move(file), /*deferred_header=*/want_wal));
-  if (options.metrics != nullptr) {
-    db->versions_.BindMetrics(options.metrics);
-    if (db->wal_) db->wal_->BindMetrics(options.metrics);
-  }
   db->pool_ = std::make_unique<BufferPool>(
       db->pager_.get(), options.buffer_pool_pages,
-      db->wal_ ? &db->wal_ctx_ : nullptr, &db->versions_, options.metrics);
+      db->wal_ ? &db->wal_ctx_ : nullptr, &db->versions_, db->metrics_);
   if (db->pager_->catalog_root() == kInvalidPageId) {
     CRIMSON_ASSIGN_OR_RETURN(Txn txn, db->Begin());
     CRIMSON_ASSIGN_OR_RETURN(BTree catalog, BTree::Create(db->pool_.get()));

@@ -68,10 +68,10 @@ struct DatabaseOptions {
   uint64_t wal_checkpoint_bytes = 16ull << 20;
   /// Filesystem hooks; tests substitute fault-injecting environments.
   StorageEnv env = PosixStorageEnv();
-  /// Observability registry the engine mirrors its cumulative counters
-  /// into (storage.pool.*, storage.wal.*, pages.*); null = not
-  /// mirrored. The struct accessors (stats(), page_version_stats())
-  /// stay per-instance either way. Must outlive the database.
+  /// Observability registry the engine counts into (storage.pool.*,
+  /// storage.wal.*, pages.*); null = a private registry owned by the
+  /// database. The struct accessors (stats(), page_version_stats()) read
+  /// these counters back. Must outlive the database.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -240,7 +240,8 @@ class Database {
  private:
   friend class Txn;
 
-  Database() = default;
+  /// `metrics` is DatabaseOptions::metrics; null = a private registry.
+  explicit Database(obs::MetricsRegistry* metrics);
 
   static Result<std::unique_ptr<Database>> Build(
       std::unique_ptr<File> file, const DatabaseOptions& options,
@@ -252,6 +253,9 @@ class Database {
   void ReleaseWriterEpoch();
 
   DatabaseOptions options_;
+  /// Declared before every component that counts into it.
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  obs::MetricsRegistry* const metrics_;
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<Wal> wal_;
   WalContext wal_ctx_;

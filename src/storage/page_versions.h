@@ -88,7 +88,9 @@ class PageVersions {
     uint64_t committed_epoch = 0;
   };
 
-  PageVersions() = default;
+  /// Counts captures, version hits and drops into the pages.* counters
+  /// of `metrics`, which must outlive the table.
+  explicit PageVersions(obs::MetricsRegistry* metrics);
   PageVersions(const PageVersions&) = delete;
   PageVersions& operator=(const PageVersions&) = delete;
 
@@ -135,13 +137,9 @@ class PageVersions {
   Resolution ResolveForThread(PageId id,
                               std::shared_ptr<const std::vector<char>>* out);
 
+  /// The cumulative counters read back from the registry, plus the
+  /// current chain, snapshot and epoch levels.
   Stats stats() const;
-
-  /// Mirrors the cumulative counters (pages.captured_pages,
-  /// pages.version_hits, pages.versions_dropped) into `registry` from
-  /// here on. Call before any capture/resolve traffic (Database::Build
-  /// does); stats() stays the per-instance source of truth either way.
-  void BindMetrics(obs::MetricsRegistry* registry);
 
   /// The current committed epoch alone (cheaper than stats(), which
   /// walks the chains; hot-path callers stamping cache entries use
@@ -176,12 +174,9 @@ class PageVersions {
   std::thread::id writer_thread_{};
   std::set<PageId> txn_captured_;
 
-  Stats stats_;
-  /// Telemetry mirrors (null until BindMetrics): bumped alongside the
-  /// stats_ members so a session registry sees the same counts.
-  obs::Counter* captured_ctr_ = nullptr;
-  obs::Counter* version_hits_ctr_ = nullptr;
-  obs::Counter* dropped_ctr_ = nullptr;
+  obs::Counter* const captured_;
+  obs::Counter* const version_hits_;
+  obs::Counter* const dropped_;
 };
 
 }  // namespace crimson

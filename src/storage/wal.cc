@@ -23,10 +23,22 @@ std::string WalSegmentPath(const std::string& base, uint32_t index) {
   return base + StrFormat(".%06u", index);
 }
 
+Wal::Wal(std::string base, StorageEnv env, WalOptions options,
+         obs::MetricsRegistry* metrics)
+    : base_(std::move(base)),
+      env_(std::move(env)),
+      options_(options),
+      appends_(metrics->GetCounter("storage.wal.appends")),
+      bytes_(metrics->GetCounter("storage.wal.bytes")),
+      fsyncs_(metrics->GetCounter("storage.wal.fsyncs")),
+      group_batch_(metrics->GetHistogram(
+          "storage.wal.group_batch", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {}
+
 Result<std::unique_ptr<Wal>> Wal::Open(const std::string& base,
                                        const StorageEnv& env,
-                                       const WalOptions& options) {
-  auto wal = std::unique_ptr<Wal>(new Wal(base, env, options));
+                                       const WalOptions& options,
+                                       obs::MetricsRegistry* metrics) {
+  auto wal = std::unique_ptr<Wal>(new Wal(base, env, options, metrics));
   // Find the highest generation stamped on any surviving segment so the
   // new era can never collide with a stale leftover.
   uint64_t max_gen = 0;
@@ -152,8 +164,8 @@ Result<Lsn> Wal::Append(WalRecordType type, const std::string& body) {
 
   ++appended_lsn_;
   size_bytes_ += record_size;
-  if (appends_ctr_) appends_ctr_->Increment();
-  if (bytes_ctr_) bytes_ctr_->Add(record_size);
+  appends_->Increment();
+  bytes_->Add(record_size);
   PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
   PutFixed32(&pending_, Crc32(payload.data(), payload.size()));
   pending_.append(payload);
@@ -277,7 +289,7 @@ Status Wal::Sync(Lsn lsn, bool group) {
     lock.unlock();
 
     Status sync_status = file->Sync();
-    if (fsyncs_ctr_) fsyncs_ctr_->Increment();
+    fsyncs_->Increment();
     if (sync_status.ok() && dir_sync) sync_status = env_.sync_dir(base_);
 
     lock.lock();
@@ -300,20 +312,11 @@ Status Wal::Sync(Lsn lsn, bool group) {
     }
     if (covered > 0) {
       last_group_batch_ = covered;
-      if (group_batch_hist_) group_batch_hist_->Observe(covered);
+      group_batch_->Observe(covered);
     }
     cv_.notify_all();
     if (durable_lsn_ >= lsn) return Status::OK();
   }
-}
-
-void Wal::BindMetrics(obs::MetricsRegistry* registry) {
-  std::lock_guard<std::mutex> lock(mu_);
-  appends_ctr_ = registry->GetCounter("storage.wal.appends");
-  bytes_ctr_ = registry->GetCounter("storage.wal.bytes");
-  fsyncs_ctr_ = registry->GetCounter("storage.wal.fsyncs");
-  group_batch_hist_ = registry->GetHistogram(
-      "storage.wal.group_batch", {1, 2, 4, 8, 16, 32, 64, 128, 256});
 }
 
 Wal::Mark Wal::mark() const {

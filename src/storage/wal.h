@@ -88,9 +88,13 @@ struct WalOptions {
 /// must consume any previous contents first.
 class Wal {
  public:
+  /// The log counts into `metrics` (storage.wal.appends / .bytes /
+  /// .fsyncs counters plus the storage.wal.group_batch commit-coalesce
+  /// histogram), which must outlive it.
   static Result<std::unique_ptr<Wal>> Open(const std::string& base,
                                            const StorageEnv& env,
-                                           const WalOptions& options = {});
+                                           const WalOptions& options,
+                                           obs::MetricsRegistry* metrics);
 
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
@@ -139,12 +143,6 @@ class Wal {
   /// when a consumed WAL must not survive a non-durable open.
   static Status RemoveLog(const std::string& base, const StorageEnv& env);
 
-  /// Mirrors cumulative WAL telemetry (storage.wal.appends / .bytes /
-  /// .fsyncs counters plus the storage.wal.group_batch commit-coalesce
-  /// histogram) into `registry`. Call right after Open, before append
-  /// traffic (Database::Build does).
-  void BindMetrics(obs::MetricsRegistry* registry);
-
   Lsn appended_lsn() const;
   Lsn durable_lsn() const;
   uint64_t generation() const;
@@ -152,8 +150,8 @@ class Wal {
   uint64_t size_bytes() const;
 
  private:
-  Wal(std::string base, StorageEnv env, WalOptions options)
-      : base_(std::move(base)), env_(std::move(env)), options_(options) {}
+  Wal(std::string base, StorageEnv env, WalOptions options,
+      obs::MetricsRegistry* metrics);
 
   Result<Lsn> Append(WalRecordType type, const std::string& body);
   /// Truncates+syncs segment 1 (atomically invalidating the chain),
@@ -190,11 +188,10 @@ class Wal {
   std::deque<Lsn> pending_commits_;    // commit lsns not yet durable
   uint64_t last_group_batch_ = 0;      // commits covered by the last sync
   Status sticky_;                    // first unrecoverable error, if any
-  /// Telemetry mirrors (null until BindMetrics).
-  obs::Counter* appends_ctr_ = nullptr;
-  obs::Counter* bytes_ctr_ = nullptr;
-  obs::Counter* fsyncs_ctr_ = nullptr;
-  obs::Histogram* group_batch_hist_ = nullptr;
+  obs::Counter* const appends_;
+  obs::Counter* const bytes_;
+  obs::Counter* const fsyncs_;
+  obs::Histogram* const group_batch_;
 };
 
 }  // namespace crimson

@@ -162,12 +162,18 @@ TEST_F(CrimsonFacadeTest, RerunQueryReproducesAnswers) {
   EXPECT_EQ(reparsed->LeafCount(), 3u);
 }
 
-TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
+ExperimentSpec OneNjRun(size_t k) {
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = 4;
-  auto nj = MakeNjAlgorithm();
-  EXPECT_TRUE(crimson_->Benchmark("fig1", *nj, sel)
+  sel.k = k;
+  spec.selections = {sel};
+  return spec;
+}
+
+TEST_F(CrimsonFacadeTest, BenchmarkRequiresSpeciesData) {
+  EXPECT_TRUE(crimson_->RunExperiment(fig1_, OneNjRun(4))
                   .status()
                   .IsFailedPrecondition());
 }
@@ -185,14 +191,11 @@ TEST_F(CrimsonFacadeTest, BenchmarkWithLoadedSequences) {
   ASSERT_TRUE(seqs.ok());
   ASSERT_TRUE(crimson_->AppendSpeciesData("fig1", *seqs).ok());
 
-  SelectionSpec sel;
-  sel.kind = SelectionSpec::Kind::kUniform;
-  sel.k = 5;
-  auto nj = MakeNjAlgorithm();
-  auto run = crimson_->Benchmark("fig1", *nj, sel);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_EQ(run->sample_size, 5u);
-  EXPECT_EQ(run->reconstructed.LeafCount(), 5u);
+  auto report = crimson_->RunExperiment(fig1_, OneNjRun(5));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->runs.size(), 1u);
+  EXPECT_EQ(report->runs[0].sample_size, 5u);
+  EXPECT_EQ(report->runs[0].reconstructed.LeafCount(), 5u);
 }
 
 TEST(CrimsonPersistenceTest, OnDiskLifecycle) {

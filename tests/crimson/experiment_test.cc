@@ -1,5 +1,5 @@
 // Tests for the typed, handle-based Experiment API: spec round-trips,
-// the algorithm registry, parallel-vs-legacy-sequential byte identity,
+// the algorithm registry, parallel-vs-sequential byte identity,
 // persistence + exact replay on a reopened database, evaluation-state
 // caching, and replay of "benchmark"/"experiment" history entries.
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "crimson/crimson.h"
+#include "crimson/repositories.h"
 #include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
 #include "tree/newick.h"
@@ -201,10 +202,10 @@ TEST(AlgorithmRegistryTest, UserFactoriesRegisterOnce) {
 
 // -- RunExperiment ----------------------------------------------------------
 
-TEST(ExperimentTest, ParallelRunMatchesLegacySequentialBenchmarkLoop) {
+TEST(ExperimentTest, ParallelRunMatchesSequentialJobLoop) {
   // Session A runs the whole grid through RunExperiment on 4 workers;
-  // session B (same seed, fresh tickets) walks the same grid through
-  // the sequential legacy Benchmark wrapper. Every run must be
+  // session B (same seed, fresh tickets, one worker) walks the same
+  // spec job by job, each job a one-run experiment. Every run must be
   // byte-identical, including the sampled projections and
   // reconstructed topologies.
   const ExperimentSpec spec = GridSpec();
@@ -216,18 +217,22 @@ TEST(ExperimentTest, ParallelRunMatchesLegacySequentialBenchmarkLoop) {
   ASSERT_EQ(report->runs.size(), spec.job_count());
   EXPECT_GT(report->experiment_id, 0);
 
-  auto b = OpenSessionWithGold(/*seed=*/77, /*workers=*/4);
-  auto nj = MakeNjAlgorithm();
-  auto upgma = MakeUpgmaAlgorithm();
-  const ReconstructionAlgorithm* instances[] = {nj.get(), upgma.get()};
+  auto b = OpenSessionWithGold(/*seed=*/77, /*workers=*/1);
+  auto ref_b = b->OpenTree("gold");
+  ASSERT_TRUE(ref_b.ok());
   size_t job = 0;
-  for (const ReconstructionAlgorithm* algorithm : instances) {
+  for (const std::string& algorithm : spec.algorithms) {
     for (const SelectionSpec& selection : spec.selections) {
       for (size_t rep = 0; rep < spec.replicates; ++rep, ++job) {
-        auto run = b->Benchmark("gold", *algorithm, selection,
-                                spec.compute_triplets);
+        ExperimentSpec one;
+        one.algorithms = {algorithm};
+        one.selections = {selection};
+        one.replicates = 1;
+        one.compute_triplets = spec.compute_triplets;
+        auto run = b->RunExperiment(*ref_b, one);
         ASSERT_TRUE(run.ok()) << "job " << job << ": " << run.status();
-        ExpectRunsEqual(report->runs[job], *run,
+        ASSERT_EQ(run->runs.size(), 1u);
+        ExpectRunsEqual(report->runs[job], run->runs[0],
                         "job " + std::to_string(job));
       }
     }
@@ -408,20 +413,60 @@ TEST(ExperimentTest, HistoryEntriesReplayThroughTheExperimentPath) {
   auto replayed = session->RerunQuery((*history)[0].query_id);
   ASSERT_TRUE(replayed.ok()) << replayed.status();
   EXPECT_EQ(*replayed, RenderExperimentReport(*report));
+}
 
-  // A "benchmark" entry (the legacy wrapper) re-runs as a fresh
+TEST(ExperimentTest, StoredBenchmarkRowsReplayThroughTheExperimentPath) {
+  // Databases written before the Experiment API hold "benchmark"
+  // history rows: the pre-Experiment-API keys plus, from later
+  // versions, the encoded one-run spec. Both forms re-run as a fresh
   // 1-replicate experiment through the registry.
-  auto nj = MakeNjAlgorithm();
+  std::string path = testing::TempDir() + "/crimson_benchmark_rows.db";
+  RemoveFile(path);
+  CrimsonOptions opts;
+  opts.db_path = path;
+  opts.seed = 31;
+  {
+    auto session = std::move(Crimson::Open(opts)).value();
+    ASSERT_TRUE(session->LoadTree("gold", SharedGold().tree).ok());
+    ASSERT_TRUE(
+        session->AppendSpeciesData("gold", SharedGold().sequences).ok());
+    ASSERT_TRUE(session->Flush().ok());
+  }
+  ExperimentSpec spec;
+  spec.algorithms = {"neighbor_joining"};
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
   sel.k = 6;
-  ASSERT_TRUE(session->Benchmark("gold", *nj, sel, false).ok());
-  history = session->QueryHistory(1);
-  ASSERT_TRUE(history.ok());
-  ASSERT_EQ((*history)[0].kind, "benchmark");
-  auto bench_replay = session->RerunQuery((*history)[0].query_id);
-  ASSERT_TRUE(bench_replay.ok()) << bench_replay.status();
-  EXPECT_NE(bench_replay->find("neighbor_joining"), std::string::npos);
+  spec.selections = {sel};
+  spec.replicates = 1;
+  spec.compute_triplets = false;
+  const std::string legacy = "tree=gold&algorithm=neighbor_joining&k=6";
+  {
+    auto db = Database::Open(path);
+    ASSERT_TRUE(db.ok()) << db.status();
+    auto queries = QueryRepository::Open(db->get());
+    ASSERT_TRUE(queries.ok()) << queries.status();
+    ASSERT_TRUE((*queries)->Record("benchmark", legacy, "rf=2/6").ok());
+    ASSERT_TRUE((*queries)
+                    ->Record("benchmark",
+                             legacy + "&spec=" + EncodeExperimentSpec(spec),
+                             "rf=2/6")
+                    .ok());
+    ASSERT_TRUE((*db)->Flush().ok());
+  }
+  {
+    auto session = std::move(Crimson::Open(opts)).value();
+    auto history = session->QueryHistory(2);
+    ASSERT_TRUE(history.ok()) << history.status();
+    ASSERT_EQ(history->size(), 2u);
+    for (const QueryRepository::Entry& entry : *history) {
+      ASSERT_EQ(entry.kind, "benchmark");
+      auto replay = session->RerunQuery(entry.query_id);
+      ASSERT_TRUE(replay.ok()) << replay.status();
+      EXPECT_NE(replay->find("neighbor_joining"), std::string::npos);
+    }
+  }
+  RemoveFile(path);
 }
 
 }  // namespace

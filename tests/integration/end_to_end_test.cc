@@ -110,22 +110,26 @@ TEST_F(EndToEndTest, FullPipeline) {
   EXPECT_EQ(std::get<SampleAnswer>(*sample).species.size(), 32u);
 
   // ---- benchmark both algorithms --------------------------------------
+  // The registry's "nj" and "upgma" use JC69-corrected distances.
   SelectionSpec sel;
   sel.kind = SelectionSpec::Kind::kUniform;
   sel.k = 48;
-  auto nj = MakeNjAlgorithm(DistanceCorrection::kJC69);
-  auto upgma = MakeUpgmaAlgorithm(DistanceCorrection::kJC69);
+  const size_t kReps = 3;
+  ExperimentSpec spec;
+  spec.algorithms = {"nj", "upgma"};
+  spec.selections = {sel};
+  spec.replicates = kReps;
+  auto report = (*c)->RunExperiment(*ref, spec);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->runs.size(), 2 * kReps);
   double nj_total = 0, upgma_total = 0;
-  const int kReps = 3;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto nj_run = (*c)->Benchmark("gold", *nj, sel);
-    ASSERT_TRUE(nj_run.ok()) << nj_run.status();
-    auto up_run = (*c)->Benchmark("gold", *upgma, sel);
-    ASSERT_TRUE(up_run.ok()) << up_run.status();
-    nj_total += nj_run->rf.normalized;
-    upgma_total += up_run->rf.normalized;
-    EXPECT_EQ(nj_run->reference.LeafCount(), sel.k);
-    EXPECT_EQ(nj_run->reconstructed.LeafCount(), sel.k);
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    const BenchmarkRun& nj_run = report->runs[rep];
+    const BenchmarkRun& up_run = report->runs[kReps + rep];
+    nj_total += nj_run.rf.normalized;
+    upgma_total += up_run.rf.normalized;
+    EXPECT_EQ(nj_run.reference.LeafCount(), sel.k);
+    EXPECT_EQ(nj_run.reconstructed.LeafCount(), sel.k);
   }
   // The paper's benchmarking purpose: the harness distinguishes
   // algorithms. Without a clock NJ must not be worse than UPGMA.
@@ -134,9 +138,11 @@ TEST_F(EndToEndTest, FullPipeline) {
   EXPECT_LT(nj_total / kReps, 0.45);
 
   // ---- history captured the whole session ------------------------------
+  // Three queries, then the experiment as one entry.
   auto history = (*c)->QueryHistory(100);
   ASSERT_TRUE(history.ok());
-  EXPECT_GE(history->size(), 5u);
+  ASSERT_EQ(history->size(), 4u);
+  EXPECT_EQ((*history)[0].kind, "experiment");
 }
 
 TEST_F(EndToEndTest, NexusExportImportCycle) {

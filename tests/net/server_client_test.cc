@@ -2,7 +2,8 @@
 // operation over the wire, byte-identity of wire results vs in-process
 // execution, pipelining == sequential identity, typed errors,
 // backpressure (kUnavailable + retry-after) under a saturated pool,
-// hostile raw-socket input against a live server, and graceful drain.
+// hostile raw-socket input against a live server, graceful drain, and
+// the stats frame's agreement with the in-process session.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "sim/seq_evolve.h"
 #include "sim/tree_sim.h"
 #include "tree/newick.h"
 
@@ -63,6 +65,11 @@ struct TestServer {
     auto client = CrimsonClient::Connect(options);
     EXPECT_TRUE(client.ok()) << client.status();
     return std::move(client).value();
+  }
+
+  /// One counter or gauge of the session registry, read in-process.
+  uint64_t Counter(const std::string& name) const {
+    return session->SnapshotMetrics().counter(name);
   }
 };
 
@@ -229,9 +236,8 @@ TEST(ServerClientTest, PipelinedBatchMatchesSequentialByteForByte) {
     EXPECT_EQ(batched_bytes, one_bytes) << "query " << i;
   }
   // Coalescing actually happened: fewer batches than queries.
-  auto stats = pipelined.server->stats();
-  EXPECT_EQ(stats.queries_executed, requests.size());
-  EXPECT_LT(stats.batches_executed, requests.size());
+  EXPECT_EQ(pipelined.Counter("net.queries_executed"), requests.size());
+  EXPECT_LT(pipelined.Counter("net.batches_executed"), requests.size());
 }
 
 TEST(ServerClientTest, PipelinedErrorsPreserveOrder) {
@@ -282,7 +288,7 @@ TEST(ServerClientTest, SaturationRejectsWithRetryAfter) {
   auto retried = client->ExecuteWithRetry(
       "fig1", QueryRequest(LcaQuery{"Lla", "Syn"}), /*max_attempts=*/100);
   EXPECT_TRUE(retried.ok()) << retried.status();
-  EXPECT_GT(t.server->stats().queries_rejected_unavailable, 0u);
+  EXPECT_GT(t.Counter("net.queries_rejected"), 0u);
 }
 
 TEST(ServerClientTest, ConnectionPoolBoundRejectsExtraConnections) {
@@ -334,7 +340,7 @@ TEST(ServerClientTest, GarbageBytesGetTypedErrorThenDisconnect) {
   // ...but the server itself is fine.
   auto client = t.Connect();
   EXPECT_TRUE(client->Ping("alive").ok());
-  EXPECT_GT(t.server->stats().protocol_errors, 0u);
+  EXPECT_GT(t.Counter("net.protocol_errors"), 0u);
 }
 
 TEST(ServerClientTest, OversizedFrameIsRejectedNotBuffered) {
@@ -466,18 +472,18 @@ TEST(ServerClientTest, ShutdownDrainsAndCheckpoints) {
   if (late.ok()) EXPECT_FALSE((*late)->Ping("too late").ok());
 }
 
-TEST(ServerClientTest, ServerStatsReflectCacheTraffic) {
+TEST(ServerClientTest, ServerMetricsReflectCacheTraffic) {
   TestServer t = TestServer::Start(16);
   auto client = t.Connect();
   ASSERT_TRUE(client->StoreNewick("fig1", kFig1Newick).ok());
 
   // Fresh server: no cache traffic yet, but the budget is visible and
   // the MVCC epoch has advanced past the store.
-  auto before = client->ServerStats();
+  auto before = client->ServerMetrics();
   ASSERT_TRUE(before.ok()) << before.status();
-  EXPECT_EQ(before->cache.hits, 0u);
-  EXPECT_GT(before->cache.budget_bytes, 0u);
-  EXPECT_GT(before->pages.committed_epoch, 0u);
+  EXPECT_EQ(before->counter("cache.hits"), 0u);
+  EXPECT_GT(before->counter("cache.budget_bytes"), 0u);
+  EXPECT_GT(before->counter("pages.committed_epoch"), 0u);
 
   // Same cacheable query three times: one miss, two hits -- and the
   // remote counters match what the in-process session reports.
@@ -487,19 +493,132 @@ TEST(ServerClientTest, ServerStatsReflectCacheTraffic) {
   }
   ASSERT_TRUE(client->Execute("fig1",
                               QueryRequest(SampleUniformQuery{3})).ok());
-  auto after = client->ServerStats();
+  auto after = client->ServerMetrics();
   ASSERT_TRUE(after.ok()) << after.status();
-  EXPECT_EQ(after->cache.hits, 2u);
-  EXPECT_EQ(after->cache.misses, 1u);
-  EXPECT_EQ(after->cache.entries, 1u);
-  EXPECT_EQ(after->cache.bypassed, 1u);
+  EXPECT_EQ(after->counter("cache.hits"), 2u);
+  EXPECT_EQ(after->counter("cache.misses"), 1u);
+  EXPECT_EQ(after->counter("cache.entries"), 1u);
+  EXPECT_EQ(after->counter("cache.bypassed"), 1u);
 
   cache::CacheStats local = t.session->GetCacheStats();
-  EXPECT_EQ(after->cache.hits, local.hits);
-  EXPECT_EQ(after->cache.misses, local.misses);
-  EXPECT_EQ(after->cache.bytes_used, local.bytes_used);
-  EXPECT_EQ(after->pages.committed_epoch,
+  EXPECT_EQ(after->counter("cache.hits"), local.hits);
+  EXPECT_EQ(after->counter("cache.misses"), local.misses);
+  EXPECT_EQ(after->counter("cache.bytes_used"), local.bytes_used);
+  EXPECT_EQ(after->counter("pages.committed_epoch"),
             t.session->database()->page_version_stats().committed_epoch);
+}
+
+/// The 24 cache, cracked-store and MVCC keys of the stats frame must
+/// read what the in-process accessors report: GetCacheStats (whose
+/// crack_* fields aggregate the live evaluation states) and
+/// page_version_stats.
+void ExpectWireMatchesAccessors(const obs::MetricsSnapshot& wire,
+                                Crimson* session, const std::string& when) {
+  const cache::CacheStats c = session->GetCacheStats();
+  const PageVersions::Stats p = session->database()->page_version_stats();
+  const std::pair<const char*, uint64_t> keys[] = {
+      {"cache.hits", c.hits},
+      {"cache.misses", c.misses},
+      {"cache.insertions", c.insertions},
+      {"cache.evictions", c.evictions},
+      {"cache.invalidations", c.invalidations},
+      {"cache.stale_skips", c.stale_skips},
+      {"cache.bypassed", c.bypassed},
+      {"cache.entries", c.entries},
+      {"cache.bytes_used", c.bytes_used},
+      {"cache.budget_bytes", c.budget_bytes},
+      {"crack.stores", c.crack_stores},
+      {"crack.pieces", c.crack_pieces},
+      {"crack.loaded_pieces", c.crack_loaded_pieces},
+      {"crack.sequences_loaded", c.crack_sequences_loaded},
+      {"crack.sequences_total", c.crack_sequences_total},
+      {"crack.fetches", c.crack_fetches},
+      {"crack.batches", c.crack_batches},
+      {"crack.piece_hits", c.crack_piece_hits},
+      {"pages.captured_pages", p.captured_pages},
+      {"pages.version_hits", p.version_hits},
+      {"pages.versions_dropped", p.versions_dropped},
+      {"pages.live_versions", p.live_versions},
+      {"pages.active_snapshots", p.active_snapshots},
+      {"pages.committed_epoch", p.committed_epoch},
+  };
+  for (const auto& [key, value] : keys) {
+    EXPECT_EQ(wire.counters.count(key), 1u) << when << ": " << key;
+    EXPECT_EQ(wire.counter(key), value) << when << ": " << key;
+  }
+}
+
+TEST(ServerClientTest, StatsFrameMatchesTheInProcessSession) {
+  TestServer t = TestServer::Start(22);
+  Rng rng(22);
+  YuleOptions yule;
+  yule.n_leaves = 40;
+  auto tree = SimulateYule(yule, &rng);
+  ASSERT_TRUE(tree.ok());
+  SeqEvolveOptions seq_opts;
+  seq_opts.seq_length = 60;
+  auto evolver = SequenceEvolver::Create(seq_opts);
+  ASSERT_TRUE(evolver.ok());
+  auto sequences = evolver->EvolveLeaves(*tree, &rng);
+  ASSERT_TRUE(sequences.ok());
+  // Half the species now, half later: the later append drops the
+  // evaluation state the experiment below builds.
+  std::map<std::string, std::string> first, second;
+  std::vector<std::string> first_names;
+  for (const auto& [name, seq] : *sequences) {
+    if (first.size() < sequences->size() / 2) {
+      first.emplace(name, seq);
+      first_names.push_back(name);
+    } else {
+      second.emplace(name, seq);
+    }
+  }
+  ASSERT_TRUE(t.session->LoadTree("gold", *tree).ok());
+  ASSERT_TRUE(t.session->AppendSpeciesData("gold", first).ok());
+  auto ref = t.session->OpenTree("gold");
+  ASSERT_TRUE(ref.ok());
+  ExperimentSpec spec;
+  spec.algorithms = {"nj"};
+  SelectionSpec listed;
+  listed.kind = SelectionSpec::Kind::kUserList;
+  listed.species.assign(first_names.begin(), first_names.begin() + 8);
+  spec.selections = {listed};
+  spec.replicates = 2;
+  ASSERT_TRUE(t.session->RunExperiment(*ref, spec).ok());
+
+  auto client = t.Connect();
+  const QueryRequest lca{LcaQuery{first_names[0], first_names[1]}};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client->Execute("gold", lca).ok());
+  }
+
+  auto wire = client->ServerMetrics();
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  EXPECT_EQ(wire->counter("crack.stores"), 1u);
+  EXPECT_GT(wire->counter("crack.fetches"), 0u);
+  EXPECT_EQ(wire->counter("cache.hits"), 2u);
+  ExpectWireMatchesAccessors(*wire, t.session.get(), "live state");
+  // Every non-net counter or gauge on the wire is the session's own;
+  // net.* moves with the stats exchange itself.
+  const obs::MetricsSnapshot local = t.session->SnapshotMetrics();
+  for (const auto& [key, value] : wire->counters) {
+    if (key.rfind("net.", 0) == 0) continue;
+    EXPECT_EQ(local.counter(key), value) << key;
+  }
+  for (const auto& [key, value] : local.counters) {
+    if (key.rfind("net.", 0) == 0) continue;
+    EXPECT_EQ(wire->counters.count(key), 1u) << key;
+  }
+
+  // The append drops the evaluation state: the crack.* keys describe
+  // the live stores (none), not the dropped one's history.
+  ASSERT_TRUE(t.session->AppendSpeciesData("gold", second).ok());
+  auto dropped = client->ServerMetrics();
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  EXPECT_EQ(dropped->counter("crack.stores"), 0u);
+  EXPECT_EQ(dropped->counter("crack.fetches"), 0u);
+  EXPECT_GT(dropped->counter("pages.captured_pages"), 0u);
+  ExpectWireMatchesAccessors(*dropped, t.session.get(), "state dropped");
 }
 
 TEST(ServerClientTest, ServerMetricsRoundTripsEveryLayer) {
@@ -528,13 +647,9 @@ TEST(ServerClientTest, ServerMetricsRoundTripsEveryLayer) {
                 metrics->counter("storage.pool.misses"),
             0u);
 
-  // Cache layer: one miss, two hits, and the values match the legacy
-  // struct counters on the same wire response.
+  // Cache layer: one miss, two hits.
   EXPECT_EQ(metrics->counter("cache.hits"), 2u);
   EXPECT_EQ(metrics->counter("cache.misses"), 1u);
-  auto stats = client->ServerStats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(metrics->counter("cache.hits"), stats->cache.hits);
 
   // Net layer: this connection's frames and queries, plus per-op
   // latency histograms, all counted by the server front door.

@@ -150,10 +150,6 @@ TEST(MetricsRegistryTest, HistogramBoundsApplyOnFirstCreationOnly) {
   EXPECT_EQ(full.histogram("lat")->bounds.size(), 3u);  // 5, 50, max
 }
 
-TEST(MetricsRegistryTest, DefaultRegistryIsAProcessSingleton) {
-  EXPECT_EQ(&MetricsRegistry::Default(), &MetricsRegistry::Default());
-}
-
 TEST(MetricsRegistryStress, ConcurrentUpdatesLoseNothing) {
   MetricsRegistry reg;
   constexpr int kThreads = 8;

@@ -92,12 +92,13 @@ TEST(Crc32Test, ChainedSeedsEqualOneShot) {
 class WalTest : public ::testing::Test {
  protected:
   test::FaultInjectionEnv env_;
+  obs::MetricsRegistry metrics_;
   static constexpr const char* kBase = "db-wal";
 
   std::unique_ptr<Wal> OpenWal(uint64_t segment_bytes = 1 << 20) {
     WalOptions opts;
     opts.segment_bytes = segment_bytes;
-    auto r = Wal::Open(kBase, env_.env(), opts);
+    auto r = Wal::Open(kBase, env_.env(), opts, &metrics_);
     EXPECT_TRUE(r.ok()) << r.status();
     return std::move(r).value();
   }

@@ -176,32 +176,26 @@ int main(int argc, char** argv) {
   printf("signal received; draining...\n");
   fflush(stdout);
   crimson::Status drained = server->Shutdown();
-  auto stats = server->stats();
+  // The service outlives the server, so the session's registry is still
+  // live here: the drain summary plus one line of cache + MVCC
+  // telemetry for operators tailing the log.
+  const crimson::obs::MetricsSnapshot m = session->SnapshotMetrics();
+  auto value = [&m](const char* key) {
+    return static_cast<unsigned long long>(m.counter(key));
+  };
   printf("drained: %llu connections served, %llu queries "
          "(%llu rejected), checkpoint %s\n",
-         static_cast<unsigned long long>(stats.connections_accepted),
-         static_cast<unsigned long long>(stats.queries_executed),
-         static_cast<unsigned long long>(stats.queries_rejected_unavailable),
+         value("net.connections_accepted"), value("net.queries_executed"),
+         value("net.queries_rejected"),
          drained.ok() ? "ok" : drained.ToString().c_str());
-  // The service outlives the server, so the session's counters are
-  // still live here: one line of cache + MVCC telemetry for operators
-  // tailing the log.
-  crimson::SessionStats session_stats = service.Stats();
   printf("cache: %llu hits / %llu misses (%llu entries, %llu bytes), "
          "%llu invalidations; crack: %llu/%llu sequences loaded across "
          "%llu stores; mvcc: epoch %llu, %llu live versions\n",
-         static_cast<unsigned long long>(session_stats.cache.hits),
-         static_cast<unsigned long long>(session_stats.cache.misses),
-         static_cast<unsigned long long>(session_stats.cache.entries),
-         static_cast<unsigned long long>(session_stats.cache.bytes_used),
-         static_cast<unsigned long long>(session_stats.cache.invalidations),
-         static_cast<unsigned long long>(
-             session_stats.cache.crack_sequences_loaded),
-         static_cast<unsigned long long>(
-             session_stats.cache.crack_sequences_total),
-         static_cast<unsigned long long>(session_stats.cache.crack_stores),
-         static_cast<unsigned long long>(session_stats.pages.committed_epoch),
-         static_cast<unsigned long long>(session_stats.pages.live_versions));
+         value("cache.hits"), value("cache.misses"), value("cache.entries"),
+         value("cache.bytes_used"), value("cache.invalidations"),
+         value("crack.sequences_loaded"), value("crack.sequences_total"),
+         value("crack.stores"), value("pages.committed_epoch"),
+         value("pages.live_versions"));
   fflush(stdout);
   return drained.ok() ? 0 : 1;
 }
